@@ -24,20 +24,17 @@ detcheck:
 	$(PYTHON) -m repro.analysis.detcheck
 
 ## the standing oracle-matrix differential harness at full budget
-## (>= 200 generated scenarios x every toggle leg x cold/warm cache;
-## tier-1 runs the same tests at the small smoke budget)
+## (>= 200 generated scenarios x fresh/cold/warm cache legs; tier-1
+## runs the same tests at the small smoke budget)
 fuzz:
 	REPRO_FUZZ_PROFILE=differential $(PYTHON) -m pytest \
-	    tests/differential tests/scenarios/test_backend_fuzz.py -q
+	    tests/differential -q
 
-## regenerate benchmarks/BENCH_sim_core.json (engine events/sec, fig5b
-## sweep wall-time legs, batched-dispatch legs, fabric service/store
-## legs) and print the tables; test_perf_engine.py rewrites the JSON,
-## the others merge their legs in, so the order matters
+## regenerate benchmarks/BENCH_sim_core.json (fabric service/store
+## legs) and print the table; the end-to-end, layer-attributed
+## benchmark is perfbench/ (see perfbench/README.md)
 bench:
-	$(PYTHON) -m pytest benchmarks/test_perf_engine.py \
-	    benchmarks/test_perf_batch.py benchmarks/test_perf_backend.py \
-	    benchmarks/test_perf_fabric.py -q -s
+	$(PYTHON) -m pytest benchmarks/test_perf_fabric.py -q -s
 
 ## docs: executable snippets in docs/*.md + intra-repo markdown links
 docs-check:

@@ -1,6 +1,7 @@
 """Fabric performance benchmark → ``benchmarks/BENCH_sim_core.json``.
 
-Two measurements, recorded per PR under the ``"fabric"`` key:
+Two measurements, written with the host's ``cpu_count`` under the
+``"fabric"`` key:
 
 * **warm-hit service throughput** — concurrent clients hammering
   ``GET /result/<key>`` for a point that is already in the SQLite
@@ -15,6 +16,7 @@ Run via ``make bench`` (or ``pytest benchmarks/test_perf_fabric.py -s``).
 
 import concurrent.futures
 import json
+import os
 import pathlib
 import tempfile
 import time
@@ -92,14 +94,14 @@ def test_bench_fabric(save_table):
         file_store = _store_microbench(tmp, "file")
         sqlite_store = _store_microbench(tmp, "sqlite")
 
-    try:
-        payload = json.loads(BENCH_JSON.read_text())
-    except (OSError, ValueError):
-        payload = {}
-    payload["fabric"] = {
-        "service_warm_hits": service,
-        "store_file": file_store,
-        "store_sqlite": sqlite_store,
+    payload = {
+        "host": {"cpu_count": os.cpu_count()},
+        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "fabric": {
+            "service_warm_hits": service,
+            "store_file": file_store,
+            "store_sqlite": sqlite_store,
+        },
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 

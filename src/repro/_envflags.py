@@ -1,12 +1,11 @@
 """Defensive environment-variable parsing — the only module that may
 touch ``os.environ``.
 
-The execution-toggle env vars (``REPRO_BATCHED``,
-``REPRO_SECTION_BATCHING``, ``REPRO_TASK_POOLING``, ``REPRO_ENGINE``,
-``REPRO_WORKERS``, ``REPRO_SWEEP_CACHE``, ``REPRO_CACHE_DIR``) are
-parsed at import time by modules that *everything* imports, so a
-garbage value must never break imports or silently flip behaviour:
-unknown values warn (``RuntimeWarning``) and fall back to the default.
+The configuration env vars (``REPRO_WORKERS``, ``REPRO_SWEEP_CACHE``,
+``REPRO_CACHE_DIR``, ``REPRO_CACHE_BACKEND``) are parsed at import time
+by modules that *everything* imports, so a garbage value must never
+break imports or silently flip behaviour: unknown values warn
+(``RuntimeWarning``) and fall back to the default.
 The determinism linter (``python -m repro.analysis.lint``, rule
 ``ENV001``) rejects raw ``os.environ`` reads anywhere else in
 ``src/repro`` — add a typed helper here instead of reading directly.

@@ -20,12 +20,6 @@ Design invariants:
 * Sweeps stream: :func:`iter_sweep` yields results as the worker pool
   completes them; :func:`sweep` is the ordered batch form with an
   optional ``on_result`` progress callback.
-* The engine backend (:func:`repro.simulate.set_engine_backend`, env
-  ``REPRO_ENGINE``) is a pure execution detail: ``python`` and
-  ``array`` produce bit-identical :class:`RunResult` payloads, so the
-  choice never enters cache keys — cached bytes written under one
-  backend are read back under the other, and pool workers inherit the
-  parent's selection.
 * Name resolution imports :mod:`repro.experiments` on demand so every
   registered figure/example scenario is addressable without eagerly
   importing the experiment harness at ``import repro`` time.

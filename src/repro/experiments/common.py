@@ -13,26 +13,22 @@ Every figure point is a :class:`~repro.scenarios.Scenario`; the figure
 modules build scenario grids, register them, and evaluate them through
 the :mod:`repro.api` facade (:func:`repro.sweep` — process-pool
 fan-out, results memoized on scenario hashes so equal points dedupe
-across figures).  :func:`run_mode` remains as a deprecated
-keyword-argument shim; it builds a scenario and delegates to
-:func:`repro.run`.
+across figures).
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-from .._deprecation import warn_once
 from ..analysis import (doubled_resource_efficiency,
                         fixed_resource_efficiency)
-from ..results import RunResult
 from ..intra import CopyStrategy, Scheduler
 from ..netmodel import (GRID5000_MACHINE, GRID5000_NETWORK, MachineSpec,
                         NetworkSpec)
 from ..scenarios import (ModeRun, Scenario, app_ref, machine_name_for,
                          network_name_for, nodes_for, sweep_scenarios)
 
-__all__ = ["ModeRun", "nodes_for", "run_mode", "scenario_for",
+__all__ = ["ModeRun", "nodes_for", "scenario_for",
            "sweep_scenarios", "three_mode_rows"]
 
 
@@ -44,8 +40,8 @@ def scenario_for(mode: str, program: _t.Callable, n_logical: int,
                  scheduler: _t.Optional[_t.Union[str, Scheduler]] = None,
                  copy_strategy: CopyStrategy = CopyStrategy.LAZY
                  ) -> Scenario:
-    """Build the :class:`~repro.scenarios.Scenario` equivalent of the
-    historical ``run_mode`` keyword bundle."""
+    """Build the :class:`~repro.scenarios.Scenario` of one mode run
+    (pass it to :func:`repro.run`)."""
     return Scenario(
         app=app_ref(program), config=config, n_logical=n_logical,
         mode=mode, degree=degree, spread=spread,
@@ -53,26 +49,6 @@ def scenario_for(mode: str, program: _t.Callable, n_logical: int,
         network=network_name_for(netspec),
         distance_model=distance_model, scheduler=scheduler,
         copy_strategy=copy_strategy)
-
-
-def run_mode(mode: str, program: _t.Callable, n_logical: int,
-             config: _t.Any, **kw: _t.Any) -> RunResult:
-    """Deprecated: build the scenario (:func:`scenario_for`) and use
-    :func:`repro.run` — the :mod:`repro.api` facade — instead.
-
-    Warns :class:`DeprecationWarning` once per process, then delegates
-    to the facade; the returned
-    :class:`~repro.results.RunResult` duck-types the historical
-    ``ModeRun`` (same ``mode``/``wall_time``/``timers``/``intra``/
-    ``value``/``crashes`` payload) and adds scenario + cache
-    provenance.
-    """
-    warn_once("repro.experiments.run_mode",
-              "repro.experiments.run_mode is deprecated; use "
-              "repro.run(repro.experiments.scenario_for(...)) or a "
-              "registered scenario name instead")
-    from ..api import run as api_run
-    return api_run(scenario_for(mode, program, n_logical, config, **kw))
 
 
 def three_mode_rows(native: ModeRun, sdr: ModeRun, intra: ModeRun,

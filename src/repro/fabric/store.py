@@ -22,11 +22,9 @@ keys of :func:`repro.scenarios.scenario_cache_key`.  Two backends ship:
     bytes the file store would write; quarantined entries move to a
     ``corrupt`` table instead of ``*.corrupt`` files.
 
-Selection mirrors the engine-backend seam of
-:mod:`repro.simulate.backends`: process-wide via
-:func:`set_cache_backend`, from the environment via
-``REPRO_CACHE_BACKEND`` (parsed defensively at import — garbage warns
-and falls back to ``file``), or explicitly via
+Selection is process-wide via :func:`set_cache_backend`, from the
+environment via ``REPRO_CACHE_BACKEND`` (parsed defensively at import —
+garbage warns and falls back to ``file``), or explicitly via
 :func:`open_store`\\ 's ``backend=`` argument.  The backend never
 enters cache keys: a result written under one backend and migrated to
 the other (``python -m repro.experiments cache migrate``) serves
@@ -67,7 +65,7 @@ def _env_backend(name: str = _ENV_VAR) -> str:
     A garbage value must not make ``import repro.fabric`` (or the sweep
     driver that lazily opens stores) raise or silently flip layouts:
     :func:`repro._envflags.env_choice` warns and falls back to the
-    ``file`` oracle layout, matching the ``REPRO_ENGINE`` contract.
+    ``file`` oracle layout, matching the ``REPRO_WORKERS`` contract.
     """
     return _env_choice(name, CACHE_BACKENDS, "file")
 
@@ -83,8 +81,7 @@ def get_cache_backend() -> str:
 
 def set_cache_backend(name: str) -> str:
     """Set the process-wide default cache backend; returns the previous
-    default (so callers can restore it), mirroring
-    :func:`repro.simulate.set_engine_backend`.
+    default (so callers can restore it).
 
     The ``file`` backend remains the compatibility oracle — switching
     to ``sqlite`` changes where bytes live, never what they are, and

@@ -17,64 +17,6 @@ Two implementations of one interface:
 Both are attached to ``ctx.intra`` by the job launchers in
 :mod:`repro.intra.api`, so application code is written once and runs in
 all three modes (Open MPI / SDR-MPI / intra of the paper's figures).
-
-Batched section execution
--------------------------
-:class:`LocalIntraRuntime` sections are pure compute with no observable
-effects between tasks (no update messages, no hooks), so instead of one
-engine event + generator resume per task, the runtime emits one
-*multi-segment compute descriptor* — the per-task roofline costs — to
-:meth:`repro.mpi.world.ProcContext.compute_batch` and sleeps exactly
-once for the whole section.  Wake times, ``compute_time`` and
-``IntraStats`` accumulate with unchanged float arithmetic, so results
-are bit-identical to the task-by-task path (asserted by
-``tests/intra/test_batched_sections.py``).  Failure injection still
-lands mid-batch at the exact scheduled time: a crash-stop kill closes
-the process during the single wake, and segments past the crash point
-never execute — the "split on interrupt" contract of ``compute_batch``.
-The bit-identity guarantee is scoped to state observable from
-*survivors* (and to failure-free runs in full); a killed replica's own
-context accounting is not replayed segment by segment, and nothing in
-the repo reads it (see ``compute_batch``'s docstring).
-
-The task-by-task path is kept as the oracle: it runs when
-:func:`set_section_batching` disabled batching, when a trace hook is
-installed (trace-based tests pin seed-exact per-event streams), or for
-single-task sections (nothing to batch).
-
-Split-on-send batching (work sharing)
--------------------------------------
-:class:`IntraRuntime` — the work-sharing mode — *does* post observable
-effects between segments: each locally executed task ships its updates
-to the sibling replicas the moment it completes (§V-A overlap), and the
-``isend`` post time determines everything downstream (injection time,
-the ``update_injected`` crash window of Figure 2, when receivers apply).
-So its sections batch with a refinement: the run of consecutive local
-tasks is charged as multi-segment descriptors
-(:meth:`repro.mpi.world.ProcContext.charge_batch` — kernel segments
-interleaved with `inout`-restore memcpys), **split at every update
-send** so each sending task ends its sub-batch and posts its isends
-at the exact virtual time the task-by-task oracle would.  Tasks that
-send nothing — IN-only tasks, or any task once the last sibling died —
-coalesce with the tasks after them into a single wake.  Timing,
-statistics and results are bit-identical
-(``tests/intra/test_batched_worksharing.py`` proves it golden-trace
-style, crash injection included); the oracle additionally runs whenever
-a ``task_executed`` hook has subscribers or the hook bus is recording,
-because those observe per-task protocol points mid-stretch.
-
-Task/section pooling
---------------------
-Independently of how sections are *charged*, the per-section
-bookkeeping — a fresh :class:`SectionState`, a
-:class:`~repro.intra.task.TaskDef` per register and a
-:class:`~repro.intra.task.LaunchedTask` per launch — costs as much as
-dispatch itself on fine-grained sections (the ROADMAP-flagged follow-up
-to PR 3).  Since applications run the same section shape step after
-step, :class:`IntraRuntimeBase` recycles all three across sections:
-task defs are cached per ``(fn, tags, cost)``, launched tasks and the
-section state are reset in place from per-runtime pools.  The unpooled
-path is kept as the oracle behind :func:`set_task_pooling`.
 """
 
 from __future__ import annotations
@@ -85,7 +27,6 @@ import numpy as np
 
 from ..mpi.errors import RankFailure
 from ..mpi.request import Request
-from ..mpi.world import SEG_COMPUTE, SEG_MEMCPY
 from ..simulate import ConditionError
 from .scheduler import Scheduler, StaticBlockScheduler
 from .stats import IntraStats
@@ -99,64 +40,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 #: update-message tag layout: tag = task_index * MAX_ARGS + arg_index
 MAX_ARGS = 64
 
-from .._envflags import env_flag as _env_flag
-
-#: process-wide switch for batched section execution in
-#: :class:`LocalIntraRuntime` (the perf benchmark flips it to time the
-#: task-by-task oracle path; semantics are bit-identical either way).
-#: Seeded from ``REPRO_SECTION_BATCHING`` (garbage warns, default on).
-BATCH_SECTIONS = _env_flag("REPRO_SECTION_BATCHING", True)
-
-
-def set_section_batching(enabled: bool) -> bool:
-    """Enable/disable batched section execution; returns the previous
-    setting.  Disabling routes :class:`LocalIntraRuntime` sections
-    through the task-by-task oracle path (one engine event per task)."""
-    global BATCH_SECTIONS
-    prev = BATCH_SECTIONS
-    BATCH_SECTIONS = bool(enabled)
-    return prev
-
-
-def section_batching_enabled() -> bool:
-    """Whether :class:`LocalIntraRuntime` sections run batched."""
-    return BATCH_SECTIONS
-
-
-#: process-wide switch for section-shape pooling of TaskDef /
-#: LaunchedTask / SectionState objects (the perf benchmark flips it to
-#: time the allocate-per-section oracle path; semantics are identical).
-#: Seeded from ``REPRO_TASK_POOLING`` (garbage warns, default on).
-POOL_TASKS = _env_flag("REPRO_TASK_POOLING", True)
-
-#: retired LaunchedTask objects kept per runtime — far above any real
-#: section's task count, just a backstop against pathological shapes
-_TASK_POOL_MAX = 4096
-
-#: distinct (fn, tags, cost) signatures cached per runtime before the
-#: cache is flushed wholesale.  Far above any app's stable task-type
-#: count — but apps that register per-call *closures* (e.g.
-#: ``make_spmv_task(matrix)`` builds fresh fn/cost objects each
-#: section) miss the cache every time, and without the flush each miss
-#: would pin a dead TaskDef — and whatever the closure captures — for
-#: the life of the runtime.  Stable signatures re-warm in one section.
-_TDEF_CACHE_MAX = 256
-
-
-def set_task_pooling(enabled: bool) -> bool:
-    """Enable/disable section-shape object pooling; returns the previous
-    setting.  Disabling routes every section through the
-    allocate-fresh-objects oracle path."""
-    global POOL_TASKS
-    prev = POOL_TASKS
-    POOL_TASKS = bool(enabled)
-    return prev
-
-
-def task_pooling_enabled() -> bool:
-    """Whether section bookkeeping objects are pooled across sections."""
-    return POOL_TASKS
-
 
 class IntraError(RuntimeError):
     """Misuse of the intra-parallelization API."""
@@ -169,11 +52,6 @@ class SectionState:
         self.task_defs: _t.Dict[int, TaskDef] = {}
         self.tasks: _t.List[LaunchedTask] = []
 
-    def reset(self) -> None:
-        """Clear for reuse by the next section (object pooling)."""
-        self.task_defs.clear()
-        self.tasks.clear()
-
 
 class IntraRuntimeBase:
     """Shared API: section/task bookkeeping (Algorithm 1, lines 9–19)."""
@@ -183,16 +61,9 @@ class IntraRuntimeBase:
         self.stats = IntraStats()
         self._section: _t.Optional[SectionState] = None
         self.section_index = -1
-        #: task-type cache for pooling: (fn, tags, cost) -> TaskDef
-        self._tdef_cache: _t.Dict[_t.Any, TaskDef] = {}
-        #: monotonic task-type ids (unique across the runtime's lifetime,
-        #: so cached and fresh defs can never collide within a section)
+        #: monotonic task-type ids, unique across the runtime's lifetime
+        #: (an id kept from an earlier section never resolves)
         self._next_tdef_id = 0
-        #: retired LaunchedTask objects awaiting recycling
-        self._task_pool: _t.List[LaunchedTask] = []
-        #: retired SectionState awaiting reuse (sections never nest, so
-        #: one parked state is all a runtime can ever need)
-        self._section_pool: _t.List[SectionState] = []
 
     # ------------------------------------------------------------- API
     def section_begin(self) -> None:
@@ -200,10 +71,7 @@ class IntraRuntimeBase:
         if self._section is not None:
             raise IntraError("nested intra-parallel sections are not "
                              "allowed (Definition 1)")
-        if POOL_TASKS and self._section_pool:
-            self._section = self._section_pool.pop()
-        else:
-            self._section = SectionState()
+        self._section = SectionState()
         self.section_index += 1
         self.stats.sections += 1
 
@@ -216,41 +84,13 @@ class IntraRuntimeBase:
         arguments (:class:`~repro.intra.task.Tag` or the strings
         ``"in"/"out"/"inout"``); ``cost(*vars)`` returns the
         ``(flops, bytes_moved)`` the roofline model charges.
-
-        ``cost`` must be a pure function of its arguments' *shapes*
-        (sizes/dtypes), never of their values: batched section
-        execution (see the module docstring) evaluates all costs of a
-        section up front, before any task ``fn`` has run, so a
-        value-dependent cost would charge different virtual time than
-        the task-by-task oracle.  Every roofline model in
-        :mod:`repro.kernels` satisfies this by construction.
         """
         sec = self._require_section("Intra_Task_register")
         norm = [t if isinstance(t, Tag) else Tag(t) for t in tags]
         if len(norm) > MAX_ARGS:
             raise IntraError(f"at most {MAX_ARGS} task arguments supported")
-        tdef: _t.Optional[TaskDef] = None
-        key: _t.Optional[_t.Any] = None
-        if POOL_TASKS:
-            # Applications register the same task types section after
-            # section; cache the (immutable) TaskDef per signature so a
-            # re-register is one dict probe instead of a dataclass
-            # construction plus tag-derivation.
-            try:
-                key = (fn, tuple(norm), cost)
-                tdef = self._tdef_cache.get(key)
-            except TypeError:       # unhashable fn/cost: no caching
-                key = None
-        if tdef is None:
-            self._next_tdef_id += 1
-            tdef = TaskDef(self._next_tdef_id, fn, norm, cost)
-            if key is not None:
-                if len(self._tdef_cache) >= _TDEF_CACHE_MAX:
-                    # epoch flush: dead closure signatures dominate once
-                    # we get here; stable signatures re-warm in one
-                    # section each
-                    self._tdef_cache.clear()
-                self._tdef_cache[key] = tdef
+        self._next_tdef_id += 1
+        tdef = TaskDef(self._next_tdef_id, fn, norm, cost)
         sec.task_defs[tdef.id] = tdef
         return tdef.id
 
@@ -262,12 +102,8 @@ class IntraRuntimeBase:
         except KeyError:
             raise IntraError(f"task id {task_id} was not registered in "
                              f"this section") from None
-        pool = self._task_pool
-        if POOL_TASKS and pool:
-            task = pool.pop().recycle(len(sec.tasks), tdef, list(vars))
-        else:
-            task = LaunchedTask(index=len(sec.tasks), tdef=tdef,
-                                vars=list(vars))
+        task = LaunchedTask(index=len(sec.tasks), tdef=tdef,
+                            vars=list(vars))
         sec.tasks.append(task)
         self.stats.tasks_launched += 1
 
@@ -280,29 +116,6 @@ class IntraRuntimeBase:
         with self.ctx.region("sections"):
             yield from self._run_section(sec)
         self.stats.section_time += self.ctx.now - t0
-        if POOL_TASKS:
-            self._recycle_section(sec)
-
-    def _recycle_section(self, sec: SectionState) -> None:
-        """Park a completed section's objects for the next same-shape
-        section.
-
-        Only reached on clean completion: a crash (``GeneratorExit``) or
-        an unrecovered failure unwinds past this point, so task objects
-        that might still be referenced by in-flight transfer closures
-        are simply dropped instead of recycled.  By section exit every
-        update request has completed (the section protocol ends in a
-        Waitall), so no completion callback can touch a recycled task.
-        """
-        pool = self._task_pool
-        for task in sec.tasks:
-            if len(pool) >= _TASK_POOL_MAX:
-                break
-            task.release()
-            pool.append(task)
-        sec.reset()
-        if not self._section_pool:
-            self._section_pool.append(sec)
 
     def run_local(self, fn: _t.Callable[..., _t.Any],
                   vars: _t.Sequence[_t.Any],
@@ -346,43 +159,11 @@ class IntraRuntimeBase:
 
 class LocalIntraRuntime(IntraRuntimeBase):
     """Execute every task locally (native and classic-replication
-    modes): sections degenerate to plain sequential computation.
-
-    With :data:`BATCH_SECTIONS` enabled (the default), the whole section
-    is charged as one multi-segment compute descriptor — a single engine
-    wake instead of one event + generator resume per task (see the
-    module docstring for the exact-equivalence argument).
-    """
+    modes): sections degenerate to plain sequential computation."""
 
     def _run_section(self, sec: SectionState):
-        tasks = sec.tasks
-        if (not BATCH_SECTIONS or len(tasks) < 2
-                or self.ctx.sim._trace is not None):
-            # oracle path: one engine event per task (also keeps
-            # trace-based tests on the seed-exact per-event stream)
-            for task in tasks:
-                yield from self._execute_fn(task)
-                task.executed_locally = True
-                task.done = True
-            return
-        ctx = self.ctx
-        stats = self.stats
-        # Roofline costs are pure functions of argument *shapes*, so
-        # evaluating them up front (before any task fn mutates data)
-        # matches the interleaved oracle path.
-        costs = [task.tdef.cost(*task.vars) for task in tasks]
-        t_prev = ctx.sim.now
-        event, stamps = ctx.compute_batch(costs)
-        if event is not None:
-            yield event
-        # a kill during the wake lands here as GeneratorExit: tasks past
-        # the crash point never execute (split on interrupt)
-        for task, (flops, nbytes), stamp in zip(tasks, costs, stamps):
-            if flops or nbytes:
-                stats.task_compute_time += stamp - t_prev
-                t_prev = stamp
-            task.tdef.fn(*task.vars)
-            stats.tasks_executed += 1
+        for task in sec.tasks:
+            yield from self._execute_fn(task)
             task.executed_locally = True
             task.done = True
 
@@ -463,11 +244,8 @@ class IntraRuntime(IntraRuntimeBase):
         # -- ...execute local tasks in launch order, posting each task's
         #    update sends as soon as it completes...
         send_reqs: _t.List[Request] = []
-        if self._batchable(my_tasks):
-            send_reqs = yield from self._execute_tasks_batched(my_tasks)
-        else:
-            for task in my_tasks:
-                send_reqs.extend((yield from self._execute_task(task)))
+        for task in my_tasks:
+            send_reqs.extend((yield from self._execute_task(task)))
         t_local_done = ctx.now
         # -- ...and complete everything with one Waitall, recovering
         #    from replica failures as they surface.
@@ -476,30 +254,6 @@ class IntraRuntime(IntraRuntimeBase):
         self._emit("section_exit", n_tasks=len(sec.tasks))
 
     # ------------------------------------------------------ local tasks
-    def _batchable(self, my_tasks: _t.Sequence[LaunchedTask]) -> bool:
-        """Whether this replica's local run may batch (split on send).
-
-        Mirrors :class:`LocalIntraRuntime`'s oracle conditions (toggle,
-        nothing to batch, trace hook installed) plus one of its own: a
-        subscriber to the per-task ``task_executed`` hook — or a
-        recording hook bus — observes protocol points *inside* the local
-        stretch, whose interleaving only the task-by-task path
-        reproduces exactly.  ``update_injected`` subscribers are fine
-        either way: that hook fires from a transfer-completion callback
-        whose time is fixed by the ``isend`` post time, which
-        split-on-send keeps exact.
-        """
-        if not BATCH_SECTIONS or len(my_tasks) < 2:
-            return False
-        if self.ctx.sim._trace is not None:
-            return False
-        hooks = self.manager.hooks
-        return not (hooks.record or hooks.has_handlers("task_executed"))
-
-    def _has_live_peer(self) -> bool:
-        return any(r.replica_id != self.rid
-                   for r in self.manager.alive_replicas(self.lrank))
-
     def _execute_task(self, task: LaunchedTask):
         """Algorithm 1, ``execute_task`` (lines 29–35): restore inout
         copies, run, post updates to all other correct replicas."""
@@ -517,10 +271,7 @@ class IntraRuntime(IntraRuntimeBase):
 
     def _post_update_sends(self, task: LaunchedTask) -> _t.List[Request]:
         """Post this task's update messages to every *currently* live
-        sibling (Algorithm 1, lines 33–35).  Shared by the task-by-task
-        and batched paths; the batched path calls it at exactly the
-        virtual time the oracle would (split on send), so re-reading the
-        live set here keeps mid-stretch sibling deaths exact too."""
+        sibling (Algorithm 1, lines 33–35)."""
         reqs: _t.List[Request] = []
         for rid in self._alive_rids():
             if rid == self.rid:
@@ -533,89 +284,6 @@ class IntraRuntime(IntraRuntimeBase):
                 self.stats.update_bytes_sent += int(task.vars[arg].nbytes)
                 reqs.append(req)
         return reqs
-
-    def _execute_tasks_batched(self, my_tasks: _t.Sequence[LaunchedTask]):
-        """Run the replica's local tasks as multi-segment charge
-        descriptors, **splitting the batch at every update send**.
-
-        Planning walks the launch-order run of local tasks, collecting
-        each task's segments — the `inout`-restore memcpy (if any
-        protection copy exists) followed by the roofline kernel — and
-        cuts the sub-batch *after* the first task that will post update
-        messages: its ``isend``\\ s must hit the transport at the exact
-        virtual time the task-by-task oracle posts them, because
-        everything downstream (injection time, the ``update_injected``
-        crash window of Figure 2, receiver apply times) is a function of
-        the post time.  Each sub-batch is then one
-        :meth:`~repro.mpi.world.ProcContext.charge_batch` wake instead
-        of up to two engine events per task.
-
-        All side effects — restores, task functions, hook emissions,
-        send posts — are deferred to the sub-batch wake and run in
-        oracle order; per-task statistics replay from the returned
-        stamps with unchanged float arithmetic, so results are
-        bit-identical.  A kill landing mid-wake behaves like
-        ``compute_batch``'s "split on interrupt": the sub-batch's side
-        effects never run, and none were observable before the wake —
-        its only sends *are* the split point.  Mid-stretch sibling
-        deaths are exact because :meth:`_post_update_sends` re-reads the
-        live set at post time; siblings cannot *join* mid-section
-        (restart handovers happen at step boundaries), so a "sends
-        nothing" plan never under-posts.
-        """
-        ctx = self.ctx
-        sim = ctx.sim
-        stats = self.stats
-        send_reqs: _t.List[Request] = []
-        n = len(my_tasks)
-        start = 0
-        while start < n:
-            segments: _t.List[_t.Tuple[int, float, float]] = []
-            plan: _t.List[_t.Tuple[LaunchedTask, int, int]] = []
-            sender: _t.Optional[LaunchedTask] = None
-            stop = start
-            while stop < n:
-                task = my_tasks[stop]
-                restore_seg = -1
-                restore_bytes = task.restore_nbytes()
-                if restore_bytes:
-                    restore_seg = len(segments)
-                    segments.append((SEG_MEMCPY, restore_bytes, 0.0))
-                flops, nbytes = task.tdef.cost(*task.vars)
-                compute_seg = -1
-                if flops or nbytes:
-                    compute_seg = len(segments)
-                    segments.append((SEG_COMPUTE, flops, nbytes))
-                plan.append((task, restore_seg, compute_seg))
-                stop += 1
-                if task.tdef.update_args and self._has_live_peer():
-                    sender = task
-                    break  # split on send
-            t_prev = sim.now
-            event, stamps = ctx.charge_batch(segments)
-            if event is not None:
-                yield event
-            # a kill during the wake lands here as GeneratorExit: the
-            # sub-batch's deferred effects never run — and none were due
-            # before the wake (its sends are exactly the split point)
-            for task, restore_seg, compute_seg in plan:
-                if restore_seg >= 0:
-                    task.restore_copies()
-                    stats.copy_time += stamps[restore_seg] - t_prev
-                    t_prev = stamps[restore_seg]
-                if compute_seg >= 0:
-                    stats.task_compute_time += stamps[compute_seg] - t_prev
-                    t_prev = stamps[compute_seg]
-                task.tdef.fn(*task.vars)
-                stats.tasks_executed += 1
-                task.executed_locally = True
-                task.done = True
-                task.applied.update(task.tdef.update_args)
-                self._emit("task_executed", task=task.index)
-            if sender is not None:
-                send_reqs.extend(self._post_update_sends(sender))
-            start = stop
-        return send_reqs
 
     def _update_tag(self, task: LaunchedTask, arg: int) -> int:
         # The section index is baked into the tag so a stale update from

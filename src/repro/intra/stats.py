@@ -5,15 +5,6 @@ time (the "sections" bars of Figure 6), the *exposed* update-transfer
 time (the dashed "intra updates" area of Figure 5a — time a replica
 spends finishing update transfers after its last local task), and the
 extra-copy overhead of `inout` variables (the 6% figure quoted for GTC).
-
-Batched-accounting contract: every counter here must be *replayable*
-from a multi-segment charge descriptor's per-segment stamps with the
-exact float arithmetic the task-by-task path performs (see
-:meth:`repro.mpi.world.ProcContext.charge_batch` and the batched
-executors in :mod:`repro.intra.runtime`) — the golden-trace tests
-assert ``IntraStats`` equality bit for bit between the batched and
-oracle paths, so a new time counter must be accumulated as a difference
-of segment stamps, never recomputed from costs.
 """
 
 from __future__ import annotations

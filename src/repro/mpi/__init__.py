@@ -7,13 +7,12 @@ from .endpoint import Endpoint
 from .errors import CommunicatorError, MpiError, RankFailure
 from .message import ANY_SOURCE, ANY_TAG, Envelope, Status
 from .request import Request
-from .world import (MpiJob, MpiWorld, ProcContext, SEG_COMPUTE, SEG_MEMCPY,
-                    launch_job, run_mpi_job)
+from .world import MpiJob, MpiWorld, ProcContext, launch_job, run_mpi_job
 
 __all__ = [
     "ANY_SOURCE", "ANY_TAG", "BoundComm", "CollectiveOps", "Communicator",
     "CommunicatorError", "Endpoint", "Envelope", "MpiError", "MpiJob",
     "MpiWorld", "ProcContext", "RankFailure", "REDUCE_OPS", "Request",
-    "SCALAR_NBYTES", "SEG_COMPUTE", "SEG_MEMCPY", "Status", "copy_payload",
-    "launch_job", "payload_nbytes", "resolve_op", "run_mpi_job",
+    "SCALAR_NBYTES", "Status", "copy_payload", "launch_job",
+    "payload_nbytes", "resolve_op", "run_mpi_job",
 ]

@@ -23,11 +23,6 @@ from .errors import MpiError
 from .message import Envelope
 from .request import Request
 
-#: segment kinds for :meth:`ProcContext.charge_batch` descriptors
-SEG_COMPUTE = 0
-SEG_MEMCPY = 1
-
-
 class ProcContext:
     """Execution context of one simulated physical process.
 
@@ -79,110 +74,6 @@ class ProcContext:
         if self.sim._trace is None:
             return self.sim.sleep(dt)
         return self.sim.timeout(dt, label=f"compute:{self.name}")
-
-    def compute_batch(self, costs: _t.Sequence[_t.Tuple[float, float]],
-                      active_cores: _t.Optional[int] = None
-                      ) -> _t.Tuple[_t.Optional[Event], _t.List[float]]:
-        """Charge a *sequence* of roofline kernel segments as ONE wake.
-
-        ``costs`` is the multi-segment compute descriptor: one
-        ``(flops, bytes_moved)`` pair per uninterrupted kernel segment.
-        Instead of sleeping once per segment (N engine events, N
-        generator resumes), the per-segment roofline times are
-        accumulated with *exactly* the float arithmetic a chain of
-        :meth:`compute` calls would have performed — ``t = t + dt`` per
-        segment, ``compute_time += dt`` in the same order — and a single
-        :meth:`~repro.simulate.Simulator.sleep_until` wake is scheduled
-        for the final timestamp.  End times, accumulated timers and
-        therefore all simulation results are bit-identical to the
-        segment-by-segment path.
-
-        Returns ``(event, stamps)``: ``event`` is the single wake to
-        ``yield`` (``None`` when every segment is zero-cost — the
-        sequential path would not have slept either), and ``stamps[i]``
-        is the virtual time at which segment ``i`` completes, so callers
-        can replay per-segment accounting (e.g.
-        ``IntraStats.task_compute_time``) with unchanged arithmetic.
-
-        Crash injection composes ("split on interrupt"): a kill
-        scheduled mid-batch terminates the process at the exact
-        scheduled virtual time — the single wake is simply abandoned.
-        The equivalence guarantee covers everything *observable from
-        surviving processes* (their clocks, results, timers, stats).
-        The dead process's own context is NOT replayed segment by
-        segment: its ``compute_time`` was charged for the whole batch
-        up front and none of the batch's side effects ran, whereas the
-        segment-by-segment path would have stopped partway.  Nothing in
-        the repo aggregates a dead replica's context (the scenario
-        runner reads surviving replicas only) — callers that want to
-        must not batch.  Callers must also only batch stretches with no
-        observable effects *between* segments (no sends, no hooks); see
-        :class:`repro.intra.runtime.LocalIntraRuntime`.
-        """
-        machine = self.world.cluster.machine
-        kernel_time = machine.kernel_time
-        sim = self.sim
-        t = sim.now
-        compute_time = self.compute_time
-        stamps: _t.List[float] = []
-        append = stamps.append
-        for flops, bytes_moved in costs:
-            if flops or bytes_moved:
-                dt = kernel_time(flops, bytes_moved, active_cores)
-                compute_time += dt
-                t = t + dt
-            append(t)
-        self.compute_time = compute_time
-        if t > sim.now:
-            return sim.sleep_until(t), stamps
-        return None, stamps
-
-    def charge_batch(self, segments: _t.Sequence[_t.Tuple[int, float, float]],
-                     active_cores: _t.Optional[int] = None
-                     ) -> _t.Tuple[_t.Optional[Event], _t.List[float]]:
-        """:meth:`compute_batch` generalized to mixed segment kinds.
-
-        ``segments`` is a sequence of ``(kind, a, b)`` descriptors:
-        ``(SEG_COMPUTE, flops, bytes_moved)`` charges what one
-        :meth:`compute` call would, ``(SEG_MEMCPY, nbytes, 0.0)`` what
-        one :meth:`memcpy` call would.  The work-sharing runtime needs
-        the mix because a local task may restore an `inout` protection
-        copy (a memcpy) immediately before its kernel segment; batching
-        the stretch as one wake must accumulate both with the exact
-        float arithmetic of the interleaved call chain (``t = t + dt``
-        per segment, ``compute_time += dt`` in the same order).
-
-        Same return contract and same "split on interrupt" /
-        observability caveats as :meth:`compute_batch` — and one more
-        for callers: anything observable *between* segments (an update
-        send, a subscribed protocol hook) must terminate the batch so
-        it happens at its exact segment timestamp.  That split-on-send
-        protocol lives in
-        :meth:`repro.intra.runtime.IntraRuntime._execute_tasks_batched`.
-        """
-        machine = self.world.cluster.machine
-        kernel_time = machine.kernel_time
-        copy_time = machine.copy_time
-        sim = self.sim
-        t = sim.now
-        compute_time = self.compute_time
-        stamps: _t.List[float] = []
-        append = stamps.append
-        for kind, a, b in segments:
-            if kind == SEG_COMPUTE:
-                if a or b:
-                    dt = kernel_time(a, b, active_cores)
-                    compute_time += dt
-                    t = t + dt
-            else:
-                dt = copy_time(a)
-                compute_time += dt
-                t = t + dt
-            append(t)
-        self.compute_time = compute_time
-        if t > sim.now:
-            return sim.sleep_until(t), stamps
-        return None, stamps
 
     def memcpy(self, nbytes: float) -> Event:
         """Charge an in-memory copy (extra-copy of `inout` variables,
@@ -361,19 +252,8 @@ class MpiWorld:
     # ------------------------------------------------------------ running
     def run(self, until: _t.Optional[float] = None,
             detect_deadlock: bool = True) -> None:
-        """Run the simulation to completion (or ``until``).
-
-        Dispatches to the batched event loop
-        (:meth:`~repro.simulate.Simulator.run_batched`) unless the
-        simulator was built with ``batched=False`` — the two are
-        order-exact equivalents, so this is purely a dispatch-speed
-        choice (see ``benchmarks/test_perf_batch.py``).
-        """
-        if self.sim.batched:
-            self.sim.run_batched(until=until,
-                                 detect_deadlock=detect_deadlock)
-        else:
-            self.sim.run(until=until, detect_deadlock=detect_deadlock)
+        """Run the simulation to completion (or ``until``)."""
+        self.sim.run(until=until, detect_deadlock=detect_deadlock)
 
 
 class MpiJob:

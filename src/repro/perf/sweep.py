@@ -236,23 +236,15 @@ def clear_result_cache(cache_dir: _t.Optional[_t.Union[str, pathlib.Path]]
 _MAX_BACKOFF = 30.0
 
 
-def _worker_init(engine_backend: str,
-                 cache_backend: _t.Optional[str] = None) -> None:
-    """Pool-worker initializer: mirror the parent's backend choices.
+def _worker_init(cache_backend: _t.Optional[str] = None) -> None:
+    """Pool-worker initializer: mirror the parent's cache backend.
 
-    Freshly spawned workers re-read ``REPRO_ENGINE`` /
-    ``REPRO_CACHE_BACKEND`` on import, so env-var users inherit both
-    backends for free — but a backend selected programmatically via
-    :func:`repro.simulate.set_engine_backend` /
-    :func:`repro.fabric.set_cache_backend` lives only in the parent
-    process.  Pinning them here keeps sweeps backend-faithful either
-    way (results are bit-identical across backends regardless; this
-    preserves the *performance* choice).  Forked workers also drop any
-    memoized store handles — an SQLite connection must never cross a
-    ``fork``.
+    Freshly spawned workers re-read ``REPRO_CACHE_BACKEND`` on import,
+    so env-var users inherit the backend for free — but one selected
+    programmatically via :func:`repro.fabric.set_cache_backend` lives
+    only in the parent process.  Forked workers also drop any memoized
+    store handles — an SQLite connection must never cross a ``fork``.
     """
-    from repro.simulate import set_engine_backend
-    set_engine_backend(engine_backend)
     _STORES.clear()
     if cache_backend is not None:
         from repro.fabric.store import set_cache_backend
@@ -455,10 +447,9 @@ def _pool_rounds(points: _t.List[_t.Any], fn: _t.Callable,
         round_no += 1
         width = min(n_workers, len(todo))
         from repro.fabric.store import get_cache_backend
-        from repro.simulate import get_engine_backend
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=width, initializer=_worker_init,
-            initargs=(get_engine_backend(), get_cache_backend()))
+            initargs=(get_cache_backend(),))
         retry: _t.List[int] = []
         drained = False
         abandoned = False

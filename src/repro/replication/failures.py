@@ -45,19 +45,6 @@ class HookBus:
         """Register ``handler(**kwargs)`` for events named ``name``."""
         self._handlers[name].append(handler)
 
-    def has_handlers(self, name: str) -> bool:
-        """Whether anything is subscribed to ``name``.
-
-        Batched section execution asks this before coalescing a stretch
-        whose hook emissions a subscriber could observe mid-stretch
-        (:meth:`repro.intra.runtime.IntraRuntime._run_section`): with a
-        subscriber present, emissions must land at their exact per-task
-        times, so the runtime falls back to the task-by-task oracle.
-        Uses ``get`` so probing never materializes an empty bucket in
-        the defaultdict.
-        """
-        return bool(self._handlers.get(name))
-
     def emit(self, name: str, **kwargs: _t.Any) -> None:
         """Publish an event; all handlers run synchronously, in
         subscription order."""

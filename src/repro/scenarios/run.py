@@ -6,18 +6,13 @@ and sweep.
 simulation is deterministic), which is what makes
 :func:`sweep_scenarios` safe to memoize on scenario hashes: any two
 callers — different figures, an example, a CLI invocation — that
-evaluate an equal scenario share one cached simulation.  The engine
-backend (``REPRO_ENGINE`` / :func:`repro.simulate.set_engine_backend`)
-is deliberately *not* part of the scenario: both backends produce
-bit-identical :class:`ModeRun` payloads, so it stays out of the cache
-key and cached bytes are backend-interchangeable.
+evaluate an equal scenario share one cached simulation.
 
 This module is the *execution* layer; the public entry points live in
 :mod:`repro.api` (``repro.run`` / ``repro.sweep`` / ``repro.compare``),
 which wrap the :class:`ModeRun` payload in a provenance-carrying
 :class:`repro.results.RunResult`.  ``ModeRun`` itself stays the type
 stored in the sweep cache, so cached bytes are unchanged by the facade.
-:func:`run_scenario` remains as a deprecated shim.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from .._deprecation import warn_once
 from ..analysis import mean
 from ..intra import launch_mode
 from ..mpi import MpiWorld
@@ -176,23 +170,6 @@ def _run_scenario(scenario: Scenario, *,
                    intra=intra, value=value, crashes=crashes)
 
 
-def run_scenario(scenario: Scenario, *,
-                 before_run: _t.Optional[_t.Callable[[MpiWorld, _t.Any],
-                                                     None]] = None
-                 ) -> ModeRun:
-    """Deprecated: use :func:`repro.run` (the :mod:`repro.api` facade).
-
-    Warns :class:`DeprecationWarning` once per process and delegates to
-    the same execution path the facade uses; the returned
-    :class:`ModeRun` carries the identical payload (the facade adds
-    scenario + cache provenance on top).
-    """
-    warn_once("repro.scenarios.run_scenario",
-              "repro.scenarios.run_scenario is deprecated; use "
-              "repro.run(scenario) — the repro.api facade — instead")
-    return _run_scenario(scenario, before_run=before_run)
-
-
 def sweep_scenarios(scenarios: _t.Sequence[Scenario],
                     **sweep_kw: _t.Any) -> _t.List[ModeRun]:
     """Evaluate a batch of scenarios through the sweep driver
@@ -226,9 +203,9 @@ def scenario_cache_key(scenario: Scenario) -> str:
     scenarios (e.g. a JSON round-trip twin) always map to the same key;
     any field change, including inside ``config`` or ``failures``,
     re-keys.  Bumping ``CACHE_VERSION`` invalidates every stored
-    result after a model change; performance-only work (e.g. the PR 3
-    batched dispatch) is bit-result-identical by construction and
-    deliberately does *not* re-key.  See ``docs/scenarios.md``.
+    result after a model change; performance-only work is
+    bit-result-identical by construction and deliberately does *not*
+    re-key.  See ``docs/scenarios.md``.
     """
     return point_cache_key(_run_scenario, scenario,
                            tag=SCENARIO_SWEEP_TAG)

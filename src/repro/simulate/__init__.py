@@ -3,30 +3,19 @@
 This package is the foundation of the reproduction: simulated MPI ranks,
 replicas and the intra-parallelization runtime are all generator-based
 :class:`~repro.simulate.engine.Process` coroutines advancing a shared
-virtual clock.
-
-The event queue executes on a pluggable *backend* — the heap-based
-``python`` oracle or the vectorized ``array`` core — selected per
-simulator (``Simulator(backend=...)``), process-wide
-(:func:`set_engine_backend`) or from the environment (``REPRO_ENGINE``).
-Backends are bit-identical by construction and differential tests; see
-:mod:`repro.simulate.backends`.
+virtual clock.  The event queue is the heap of
+:mod:`repro.simulate.engine`; every simulation result is defined by it.
 """
 
-from .backends import (ENGINE_BACKENDS, get_engine_backend,
-                       set_engine_backend)
-from .engine import (Process, Simulator, batched_default,
-                     set_batched_default)
+from .engine import Process, Simulator, get_engine_backend
 from .errors import (DeadlockError, NotProcessError, ProcessKilled,
                      SimulationError, StaleEventError, UnhandledFailure)
 from .events import AllOf, AnyOf, ConditionError, Event, Timeout
 from .resources import Resource, Store
 
 __all__ = [
-    "AllOf", "AnyOf", "ConditionError", "DeadlockError",
-    "ENGINE_BACKENDS", "Event", "NotProcessError", "Process",
-    "ProcessKilled", "Resource", "SimulationError", "Simulator",
-    "StaleEventError", "Store", "Timeout", "UnhandledFailure",
-    "batched_default", "get_engine_backend", "set_batched_default",
-    "set_engine_backend",
+    "AllOf", "AnyOf", "ConditionError", "DeadlockError", "Event",
+    "NotProcessError", "Process", "ProcessKilled", "Resource",
+    "SimulationError", "Simulator", "StaleEventError", "Store", "Timeout",
+    "UnhandledFailure", "get_engine_backend",
 ]

@@ -24,30 +24,8 @@ free list: after the run loop processes a :class:`Timeout` that nothing
 else references (checked via the CPython refcount), the object is reset
 and reused by the next :meth:`Simulator.sleep` call, making the
 "process sleeps for its compute time" hot path allocation-free.
-``benchmarks/test_perf_engine.py`` tracks the resulting events/sec.
-
-Batched dispatch
-----------------
-Two batching levels sit on top of the fast path (see
-``docs/architecture.md`` for the design write-up):
-
-* :meth:`Simulator.step` drains *every* event scheduled for the head
-  timestamp in one pass — one ``until``-check and one clock write per
-  same-time batch instead of per event.  Processing order within the
-  batch is still the scheduling order (the heap's sequence numbers), so
-  semantics are unchanged.
-* :meth:`Simulator.run_batched` additionally coalesces consecutive
-  pure-:meth:`sleep` wakes that are strictly earlier than everything
-  else in the queue: the wake is parked in a one-slot *defer* cell
-  instead of round-tripping through the heap, cutting a
-  ``heappush``/``heappop`` pair per wake on compute-only stretches
-  (a process charging kernel segment after kernel segment while its
-  peers block on receives).  The deferred wake reserves its sequence
-  number at :meth:`sleep` time and is pushed back onto the heap the
-  moment anything else schedules at or before it, so the processed
-  event order is *identical* to :meth:`run` — the golden-trace tests in
-  ``tests/simulate/test_determinism.py`` pin this equivalence.
-  ``benchmarks/test_perf_batch.py`` gates the resulting speedup.
+:meth:`Simulator.step` drains every event scheduled for the head
+timestamp in one pass, in scheduling order.
 
 Example
 -------
@@ -67,52 +45,34 @@ import heapq
 import inspect
 import typing as _t
 
-from .._envflags import env_flag as _env_flag
 from .errors import (DeadlockError, NotProcessError, ProcessKilled,
                      SimulationError, UnhandledFailure)
 from .events import (_PENDING, _PROCESSED, _TRIGGERED, AllOf, AnyOf, Event,
                      Timeout)
 
-_getrefcount: _t.Optional[_t.Callable[[_t.Any], int]]
+
+def _never_unreferenced(obj: _t.Any) -> int:
+    """Refcount stand-in for interpreters without one: no processed
+    timeout ever counts as unreferenced, so the free list stays empty."""
+    return 0
+
+
+_getrefcount: _t.Callable[[_t.Any], int]
 try:  # CPython: enables the timeout free list in the run loop
     from sys import getrefcount as _getrefcount
 except ImportError:  # pragma: no cover - non-refcounting interpreters
-    _getrefcount = None
+    _getrefcount = _never_unreferenced
 
 #: cap on the timeout free list (a handful per live process is plenty)
 _POOL_MAX = 256
 
-#: process-wide default for ``Simulator(fast=None)``; the perf benchmark
-#: flips this to time the un-inlined baseline loop
-FAST_DEFAULT = True
 
-#: process-wide default for ``Simulator(batched=None)``: whether callers
-#: that dispatch on ``Simulator.batched`` (``MpiWorld.run``) should use
-#: :meth:`Simulator.run_batched` instead of :meth:`Simulator.run`.  The
-#: perf benchmark flips this to time the un-coalesced PR-1 fast path,
-#: and the differential oracle matrix (tests/differential/) runs every
-#: scenario both ways.  Seeded from ``REPRO_BATCHED`` (parsed
-#: defensively: garbage warns and keeps the default on).
-BATCHED_DEFAULT = _env_flag("REPRO_BATCHED", True)
+def get_engine_backend() -> str:
+    """Name of the engine executing every :class:`Simulator`, as
+    recorded in run provenance: always ``"python"`` — the heap engine
+    of this module is the only one."""
+    return "python"
 
-
-def set_batched_default(enabled: bool) -> bool:
-    """Set the process-wide :data:`BATCHED_DEFAULT` (what
-    ``Simulator(batched=None)`` resolves to); returns the previous
-    setting.  ``False`` is the oracle fallback — the un-coalesced
-    :meth:`Simulator.run` loop; semantics are bit-identical either way
-    (batching only coalesces engine wakeups, and the golden-trace
-    tests in ``tests/simulate/test_determinism.py`` pin the
-    equivalence)."""
-    global BATCHED_DEFAULT
-    prev = BATCHED_DEFAULT
-    BATCHED_DEFAULT = bool(enabled)
-    return prev
-
-
-def batched_default() -> bool:
-    """The current process-wide batched-dispatch default."""
-    return BATCHED_DEFAULT
 
 _INF = float("inf")
 
@@ -131,64 +91,18 @@ class Simulator:
         Optional callable ``trace(time, event)`` invoked for every
         processed event; used by tests that assert on protocol traces
         (e.g. the Figure 1 message/compute pattern).
-    fast:
-        When False, :meth:`run` falls back to the un-inlined
-        ``while heap: step()`` loop and timeout pooling is disabled.
-        Only the performance benchmarks use this (as the seed-equivalent
-        baseline); semantics are identical either way.  ``None`` means
-        "use :data:`FAST_DEFAULT`".
-    batched:
-        Whether callers that honor :attr:`batched` (``MpiWorld.run``)
-        drive this simulator through :meth:`run_batched`.  ``None``
-        means "use :data:`BATCHED_DEFAULT`"; the perf benchmarks flip it
-        to compare against the un-coalesced loop.
-    backend:
-        The engine backend executing the event queue: ``"python"``
-        (this class's own heap machinery — the bit-exact oracle) or
-        ``"array"`` (the vectorized core of
-        :mod:`repro.simulate.backends.array`).  ``None`` means "use the
-        process-wide default" (:func:`repro.simulate.set_engine_backend`
-        / the ``REPRO_ENGINE`` env var).  ``fast=False`` always forces
-        the python oracle — the un-inlined baseline loop *is* the
-        reference implementation the backends are proven against.
-        Results are bit-identical either way; see
-        :mod:`repro.simulate.backends`.
     """
 
-    def __init__(self, trace: _t.Optional[_t.Callable[[float, Event], None]] = None,
-                 fast: _t.Optional[bool] = None,
-                 batched: _t.Optional[bool] = None,
-                 backend: _t.Optional[str] = None) -> None:
+    def __init__(self, trace: _t.Optional[_t.Callable[[float, Event], None]] = None
+                 ) -> None:
         self.now: float = 0.0
         self._heap: _t.List[_t.Tuple[float, int, Event]] = []
         self._seq = 0
         self._trace = trace
-        if fast is None:
-            fast = FAST_DEFAULT
-        self._fast = fast and _getrefcount is not None
-        #: whether run-dispatching callers should prefer run_batched()
-        self.batched = BATCHED_DEFAULT if batched is None else bool(batched)
         #: free list of recycled Timeout objects (see :meth:`sleep`)
         self._timeout_pool: _t.List[Timeout] = []
-        #: one-slot deferred-wake cell of :meth:`run_batched`:
-        #: ``(wake_time, reserved_seq, timeout)`` or ``None``
-        self._defer: _t.Optional[_t.Tuple[float, int, Timeout]] = None
-        #: True only while a run_batched() loop owns the defer slot
-        self._defer_armed = False
         #: live (not yet terminated) processes, used for deadlock detection
         self._active_processes: _t.Set["Process"] = set()
-        # -- engine backend seam (see repro.simulate.backends): lazy
-        #    import (backends.array imports this module), resolved per
-        #    instance so the module-level default / REPRO_ENGINE applies
-        from .backends import install_backend, resolve_backend
-        name = resolve_backend(backend)
-        if name != "python" and not self._fast:
-            # fast=False IS the python oracle loop — it cannot be
-            # swapped out from under the benchmarks' baseline legs
-            name = "python"
-        #: the engine backend this simulator executes on
-        self.backend = name
-        install_backend(self, name)
 
     # -- event construction helpers --------------------------------------
     def event(self, label: str = "") -> Event:
@@ -208,56 +122,22 @@ class Simulator:
         fast path for the dominant "process sleeps for its compute/idle
         time" case.
         """
+        pool = self._timeout_pool
+        if not pool:
+            return Timeout(self, delay)   # validates and enqueues itself
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        return self._sleep_abs(self.now + delay, delay)
-
-    def sleep_until(self, time: float) -> Timeout:
-        """A plain timeout firing at absolute virtual ``time``.
-
-        Used by batched charge descriptors
-        (:meth:`repro.mpi.world.ProcContext.compute_batch` and its
-        mixed-segment generalization
-        :meth:`~repro.mpi.world.ProcContext.charge_batch`, which backs
-        the work-sharing runtime's split-on-send sub-batches): the
-        caller accumulates per-segment wake times with exactly the
-        float arithmetic a chain of :meth:`sleep` calls would have
-        performed, then schedules the final wake directly — one engine
-        event for the whole stretch, bit-identical end time.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot sleep until {time} (now={self.now})")
-        return self._sleep_abs(time, time - self.now)
-
-    def _sleep_abs(self, wake: float, delay: float) -> Timeout:
-        """Shared body of :meth:`sleep` / :meth:`sleep_until`."""
-        pool = self._timeout_pool
-        if pool:
-            t = pool.pop()
-            t._waiter = None
-            t.callbacks = None
-            t._value = None
-            t._exc = None
-            t._state = _TRIGGERED
-            t.defused = False
-            t.label = ""
-            t.delay = delay
-        else:
-            t = Timeout._fresh(self, delay)
+        t = pool.pop()
+        t._waiter = None
+        t.callbacks = None
+        t._value = None
+        t._exc = None
+        t._state = _TRIGGERED
+        t.defused = False
+        t.label = ""
+        t.delay = delay
         self._seq += 1
-        if self._defer_armed and self._defer is None:
-            heap = self._heap
-            if not heap or wake < heap[0][0]:
-                # Strictly earlier than everything queued: park the wake
-                # in the defer slot (run_batched consumes it without a
-                # heap round-trip).  The sequence number is reserved NOW
-                # so that, if a later schedule forces the wake back onto
-                # the heap, same-time ordering is identical to the
-                # unbatched engine.
-                self._defer = (wake, self._seq, t)
-                return t
-        heapq.heappush(self._heap, (wake, self._seq, t))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, t))
         return t
 
     def all_of(self, events: _t.Sequence[Event], label: str = "") -> AllOf:
@@ -281,11 +161,7 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        t = self._heap[0][0] if self._heap else _INF
-        d = self._defer
-        if d is not None and d[0] < t:
-            return d[0]
-        return t
+        return self._heap[0][0] if self._heap else _INF
 
     def step(self) -> None:
         """Process every event scheduled for the next timestamp.
@@ -320,178 +196,55 @@ class Simulator:
         """
         if until is not None and until < self.now:
             raise SimulationError(f"until={until} is in the past (now={self.now})")
-        if not self._fast:
-            while self._heap:
-                if until is not None and self._heap[0][0] > until:
-                    self.now = until
-                    return
-                self.step()
-        else:
-            heap = self._heap
-            pool = self._timeout_pool
-            heappop = heapq.heappop
-            trace = self._trace
-            getrefcount = _getrefcount
-            assert getrefcount is not None  # _fast implies CPython
-            pool_append = pool.append
-            timeout_cls = Timeout
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    self.now = until
-                    return
-                time, _seq, event = heappop(heap)
-                self.now = time
-                # -- inline Event._process; three copies exist (here,
-                #    run_batched, Event._process) — keep all in sync;
-                #    tests/simulate/test_determinism.py pins their
-                #    equivalence on a golden trace -------------------
-                event._state = _PROCESSED
-                waiter = event._waiter
-                if waiter is not None:
-                    event._waiter = None
-                    waiter(event)
-                    if event.callbacks is None:
-                        # single-waiter success: the dominant shape.
-                        # Recycle unreferenced plain timeouts — refcount
-                        # 2 means only the local variable and the
-                        # getrefcount argument hold the object, so no
-                        # model code can observe the reuse.
-                        if (event._exc is None and trace is None
-                                and type(event) is timeout_cls
-                                and len(pool) < _POOL_MAX
-                                and getrefcount(event) == 2):
-                            pool_append(event)
-                            continue
-                    else:
-                        cbs = event.callbacks
-                        event.callbacks = None
-                        for cb in cbs:
-                            cb(event)
-                else:
-                    cbs = event.callbacks
-                    if cbs is not None:
-                        event.callbacks = None
-                        for cb in cbs:
-                            cb(event)
-                # ------------------------------------------------------
-                if trace is not None:
-                    trace(time, event)
-                if event._exc is not None and not event.defused:
-                    raise UnhandledFailure(event._exc)
-        if until is not None:
-            self.now = until
-        if detect_deadlock and self._active_processes:
-            waiting = ", ".join(sorted(p.name for p in self._active_processes))
-            raise DeadlockError(
-                f"event queue drained but processes still waiting: {waiting}")
-
-    def run_batched(self, until: _t.Optional[float] = None,
-                    detect_deadlock: bool = False) -> None:
-        """Run like :meth:`run`, coalescing sole-earliest sleep wakes.
-
-        While this loop runs, :meth:`sleep` / :meth:`sleep_until` park a
-        wake that is strictly earlier than every queued event in a
-        one-slot defer cell instead of pushing it onto the heap; the
-        loop consumes the cell directly, saving the
-        ``heappush``/``heappop`` pair per wake.  This is the dominant
-        shape of a compute-only stretch: one process charges kernel
-        segment after kernel segment while its peers are blocked on
-        receives (no queued timeouts of their own).
-
-        The optimization is *order-exact*: the deferred wake reserves
-        its heap sequence number when the sleep is taken, and any
-        schedule landing at or before the parked time pushes the wake
-        back onto the heap before it is processed.  Event processing
-        order — and therefore every simulation result — is identical to
-        :meth:`run`; ``tests/simulate/test_determinism.py`` asserts
-        trace equality on a failure-injection scenario.
-
-        With ``fast=False`` this falls back to :meth:`run` (the
-        un-inlined oracle loop never batches).
-        """
-        if not self._fast:
-            return self.run(until=until, detect_deadlock=detect_deadlock)
-        if until is not None and until < self.now:
-            raise SimulationError(f"until={until} is in the past (now={self.now})")
         heap = self._heap
         pool = self._timeout_pool
         heappop = heapq.heappop
-        heappush = heapq.heappush
         trace = self._trace
         getrefcount = _getrefcount
-        assert getrefcount is not None  # _fast implies CPython
         pool_append = pool.append
         timeout_cls = Timeout
-        self._defer_armed = True
-        try:
-            while True:
-                d = self._defer
-                if d is not None:
-                    self._defer = None
-                    time, _seq, event = d
-                    if ((heap and heap[0][0] <= time)
-                            or (event._waiter is None
-                                and event.callbacks is None)):
-                        # Something scheduled at/before the parked wake,
-                        # or the sleep was never yielded: the reserved
-                        # sequence number restores exact heap order.
-                        heappush(heap, d)
+        while heap:
+            if until is not None and heap[0][0] > until:
+                self.now = until
+                return
+            time, _seq, event = heappop(heap)
+            self.now = time
+            # -- inline Event._process (keep the two copies in sync;
+            #    tests/simulate/test_determinism.py pins the resulting
+            #    event order on a golden trace) ------------------------
+            event._state = _PROCESSED
+            waiter = event._waiter
+            if waiter is not None:
+                event._waiter = None
+                waiter(event)
+                if event.callbacks is None:
+                    # single-waiter success: the dominant shape.
+                    # Recycle unreferenced plain timeouts — refcount
+                    # 2 means only the local variable and the
+                    # getrefcount argument hold the object, so no
+                    # model code can observe the reuse.
+                    if (event._exc is None and trace is None
+                            and type(event) is timeout_cls
+                            and len(pool) < _POOL_MAX
+                            and getrefcount(event) == 2):
+                        pool_append(event)
                         continue
-                    if until is not None and time > until:
-                        heappush(heap, d)
-                        self.now = until
-                        return
-                    # drop the cell tuple's reference so the free-list
-                    # refcount check below can still recycle the timeout
-                    d = None
-                else:
-                    if not heap:
-                        break
-                    if until is not None and heap[0][0] > until:
-                        self.now = until
-                        return
-                    time, _seq, event = heappop(heap)
-                self.now = time
-                # -- inline Event._process; three copies exist (here,
-                #    run's fast loop, Event._process) — keep all in
-                #    sync; the golden-trace + test_batched.py tests pin
-                #    their equivalence --------------------------------
-                event._state = _PROCESSED
-                waiter = event._waiter
-                if waiter is not None:
-                    event._waiter = None
-                    waiter(event)
-                    if event.callbacks is None:
-                        if (event._exc is None and trace is None
-                                and type(event) is timeout_cls
-                                and len(pool) < _POOL_MAX
-                                and getrefcount(event) == 2):
-                            pool_append(event)
-                            continue
-                    else:
-                        cbs = event.callbacks
-                        event.callbacks = None
-                        for cb in cbs:
-                            cb(event)
                 else:
                     cbs = event.callbacks
-                    if cbs is not None:
-                        event.callbacks = None
-                        for cb in cbs:
-                            cb(event)
-                # ------------------------------------------------------
-                if trace is not None:
-                    trace(time, event)
-                if event._exc is not None and not event.defused:
-                    raise UnhandledFailure(event._exc)
-        finally:
-            self._defer_armed = False
-            d = self._defer
-            if d is not None:
-                # an exception (or ``until``) left a parked wake behind;
-                # put it back where an unbatched engine would have it
-                self._defer = None
-                heappush(heap, d)
+                    event.callbacks = None
+                    for cb in cbs:
+                        cb(event)
+            else:
+                cbs = event.callbacks
+                if cbs is not None:
+                    event.callbacks = None
+                    for cb in cbs:
+                        cb(event)
+            # ----------------------------------------------------------
+            if trace is not None:
+                trace(time, event)
+            if event._exc is not None and not event.defused:
+                raise UnhandledFailure(event._exc)
         if until is not None:
             self.now = until
         if detect_deadlock and self._active_processes:
@@ -515,8 +268,7 @@ class Process(Event):
     ``GeneratorExit`` is thrown into the body so ``finally`` blocks run.
     """
 
-    __slots__ = ("body", "name", "_waiting_on", "_killed", "_resume_cb",
-                 "_send")
+    __slots__ = ("body", "name", "_waiting_on", "_killed", "_resume_cb")
 
     def __init__(self, sim: Simulator, body: "ProcessBody",
                  name: str = "") -> None:
@@ -525,9 +277,6 @@ class Process(Event):
                 f"process body must be a generator, got {type(body).__name__}")
         super().__init__(sim, label=name or "process")
         self.body = body
-        #: pre-bound ``body.send`` — the array backend resumes through
-        #: this slot, saving an attribute chain per wake on its hot path
-        self._send = body.send
         self.name = name or getattr(body, "__name__", "process")
         self._waiting_on: _t.Optional[Event] = None
         self._killed = False

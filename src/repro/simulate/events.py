@@ -173,9 +173,8 @@ class Event:
     # -- kernel hooks ------------------------------------------------------
     def _process(self) -> None:
         """Run callbacks.  Called by the simulator when the event's time
-        arrives; user code never calls this.  (Both simulator run loops
-        — ``Simulator.run``'s fast path and ``Simulator.run_batched`` —
-        inline this body; keep all three copies in sync.)"""
+        arrives; user code never calls this.  (``Simulator.run`` inlines
+        this body; keep the two copies in sync.)"""
         self._state = _PROCESSED
         waiter = self._waiter
         if waiter is not None:
@@ -220,26 +219,6 @@ class Timeout(Event):
         self.label = label
         self.delay = delay
         sim._enqueue(self, delay)
-
-    @classmethod
-    def _fresh(cls, sim: "Simulator", delay: float) -> "Timeout":
-        """A plain triggered timeout that is NOT enqueued.
-
-        Kernel-internal: :meth:`Simulator._sleep_abs` owns the scheduling
-        decision (heap push vs the batched-dispatch defer slot), so it
-        needs a timeout object without the constructor's enqueue.
-        """
-        t = cls.__new__(cls)
-        t.sim = sim
-        t._waiter = None
-        t.callbacks = None
-        t._value = None
-        t._exc = None
-        t._state = _TRIGGERED
-        t.defused = False
-        t.label = ""
-        t.delay = delay
-        return t
 
 
 class ConditionError(Exception):

@@ -2,33 +2,29 @@
 
 One hypothesis strategy (:func:`scenarios`) produces random bounded
 :class:`~repro.scenarios.Scenario`\\ s over every failure-schedule kind
-— none / fixed / Poisson / Weibull plus the PR 6 production universes
+— none / fixed / Poisson / Weibull plus the production universes
 (inhomogeneous-Poisson, maintenance windows, cascading) — and, on
 StepSum, :class:`~repro.scenarios.RestartPolicy` variants.  Each one
-runs under every combination of the execution toggles
-(:data:`TOGGLE_LEGS`: engine backend × batched dispatch × section
-batching × task pooling) in both cache states (cold and warm), and the
-tests assert the :class:`~repro.results.RunResult` JSON is
-byte-identical across all legs (:func:`canonical` — only the cache
-*hit* flag may differ between cold and warm) and that the cache key is
-toggle-neutral.
+runs on three cache legs — fresh (no cache), cold (cache live, first
+write) and warm (read back) — and the tests assert the
+:class:`~repro.results.RunResult` JSON is byte-identical across them
+(:func:`canonical` — only the cache *hit* flag may differ between cold
+and warm) under one cache key.  Whether a scenario's results match the
+recorded behaviour is the golden digests' job
+(``tests/golden/test_golden_digests.py``); this harness spends its
+budget on scenario diversity.
 
-A surviving counterexample is a real bug in one of the execution paths;
-:func:`repro_command` prints the exact shell command — env toggles plus
-``python -m repro.experiments run --scenario-json '...'`` — that
-replays the shrunken scenario outside the test harness.
+A surviving counterexample is a real bug; :func:`repro_command` prints
+the exact ``python -m repro.experiments run --scenario-json '...'``
+command that replays the shrunken scenario outside the test harness.
 
 Budgets are profile-switched: the default ``smoke`` profile keeps
 tier-1 fast, ``REPRO_FUZZ_PROFILE=differential`` (the nightly CI job,
-``make fuzz``) raises them to the standing-harness scale.  New toggle
-axes slot in by appending to :data:`TOGGLE_AXES` — the leg product,
-:func:`applied`, and :func:`repro_command` all derive from it.
+``make fuzz``) raises them to the standing-harness scale.
 """
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import json
 import os
 import shlex
@@ -39,16 +35,12 @@ from hypothesis import strategies as st
 from repro.api import run as api_run
 from repro.apps.hpccg import HpccgConfig, KernelBenchConfig
 from repro.apps.steploop import StepSumConfig
-from repro.intra import (section_batching_enabled, set_section_batching,
-                         set_task_pooling, task_pooling_enabled)
 from repro.scenarios import (CascadingFailures, ConstantRate,
                              FixedFailures, InhomogeneousPoissonFailures,
                              MaintenanceWindowFailures, PoissonFailures,
                              RateSpec, RestartPolicy, Scenario,
                              SinusoidRate, WeibullFailures)
 from repro.scenarios.run import scenario_cache_key
-from repro.simulate import (batched_default, get_engine_backend,
-                            set_batched_default, set_engine_backend)
 
 # ------------------------------------------------------------- budgets
 #: per-test example budgets by profile.  ``differential`` is the
@@ -80,70 +72,28 @@ def budget(name: str) -> int:
     return PROFILES[PROFILE][name]
 
 
-# --------------------------------------------------------- toggle legs
-#: the oracle axes: (leg key, values, env var, setter, getter).  The
-#: first value of every axis is the reference; the all-reference leg —
-#: python backend, everything enabled — is the oracle every other leg
-#: must match byte for byte.
-TOGGLE_AXES = (
-    ("backend", ("python", "array"), "REPRO_ENGINE",
-     set_engine_backend, get_engine_backend),
-    ("batched", (True, False), "REPRO_BATCHED",
-     set_batched_default, batched_default),
-    ("sections", (True, False), "REPRO_SECTION_BATCHING",
-     set_section_batching, section_batching_enabled),
-    ("pooling", (True, False), "REPRO_TASK_POOLING",
-     set_task_pooling, task_pooling_enabled),
-)
+# ----------------------------------------------------------- cache legs
+def run_leg(scenario, cache_dir=None):
+    """One matrix leg: run ``scenario`` once.
 
-#: all toggle combinations, deterministic order, oracle leg first
-TOGGLE_LEGS = tuple(
-    dict(zip((axis[0] for axis in TOGGLE_AXES), values))
-    for values in itertools.product(*(axis[1] for axis in TOGGLE_AXES)))
-
-ORACLE_LEG = TOGGLE_LEGS[0]
-
-
-@contextlib.contextmanager
-def applied(leg):
-    """Apply a toggle leg process-wide; restore every knob on exit."""
-    prev = [setter(leg[key])
-            for key, _values, _env, setter, _getter in TOGGLE_AXES]
-    try:
-        yield
-    finally:
-        for (_key, _values, _env, setter, _getter), value in zip(
-                TOGGLE_AXES, prev):
-            setter(value)
-
-
-def snapshot_toggles():
-    return tuple(getter()
-                 for _k, _v, _e, _setter, getter in TOGGLE_AXES)
-
-
-def run_leg(scenario, leg, cache_dir=None):
-    """One matrix leg: run ``scenario`` under the leg's toggles.
-
-    ``cache_dir=None`` runs fresh (the cold, uncached leg);
-    with a directory the sweep cache is live, so the first call per
-    (scenario, dir) is the cold cached leg and the second the warm one.
-    Failures surface as failed RunResult rows (``on_error="return"``) —
-    a schedule harsh enough to exhaust replicas is a valid outcome, and
-    every leg must then fail with the *same* error.
+    ``cache_dir=None`` runs fresh (the uncached leg); with a directory
+    the sweep cache is live, so the first call per (scenario, dir) is
+    the cold cached leg and the second the warm one.  Failures surface
+    as failed RunResult rows (``on_error="return"``) — a schedule harsh
+    enough to exhaust replicas is a valid outcome, and every leg must
+    then fail with the *same* error.
     """
-    with applied(leg):
-        if cache_dir is None:
-            return api_run(scenario, cache=False, on_error="return")
-        return api_run(scenario, cache=True, cache_dir=cache_dir,
-                       on_error="return")
+    if cache_dir is None:
+        return api_run(scenario, cache=False, on_error="return")
+    return api_run(scenario, cache=True, cache_dir=cache_dir,
+                   on_error="return")
 
 
 def canonical(result) -> str:
     """Leg-invariant bytes of a RunResult: the full lossless JSON with
     only the cache ``hit`` flag dropped (cold vs warm is the one axis
-    *allowed* to differ).  The cache *key* stays in, so toggle-neutral
-    cache keys are part of byte identity."""
+    *allowed* to differ).  The cache *key* stays in, so a stable cache
+    key is part of byte identity."""
     data = json.loads(result.to_json())
     cache = dict(data.get("cache") or {})
     cache.pop("hit", None)
@@ -151,28 +101,19 @@ def canonical(result) -> str:
     return json.dumps(data, sort_keys=True)
 
 
-def _env_token(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
-
-
-def repro_command(scenario, leg) -> str:
-    """The exact shell command replaying this (scenario, leg) outside
-    the harness — print it on failure so a shrunken counterexample is
-    one paste away from a debugger."""
-    env = " ".join(
-        f"{envvar}={_env_token(leg[key])}"
-        for key, _values, envvar, _setter, _getter in TOGGLE_AXES)
-    return (f"{env} python -m repro.experiments run "
+def repro_command(scenario) -> str:
+    """The exact shell command replaying this scenario outside the
+    harness — print it on failure so a shrunken counterexample is one
+    paste away from a debugger."""
+    return (f"python -m repro.experiments run "
             f"--scenario-json {shlex.quote(scenario.to_json())} "
             f"--format json")
 
 
-def describe(scenario, leg, phase: str) -> str:
+def describe(scenario, phase: str) -> str:
     """Failure context: which leg diverged and how to replay it."""
-    return (f"[{phase}] leg={leg} scenario={scenario.summary()}\n"
-            f"replay: {repro_command(scenario, leg)}")
+    return (f"[{phase}] scenario={scenario.summary()}\n"
+            f"replay: {repro_command(scenario)}")
 
 
 def expected_cache_key(scenario) -> str:
@@ -180,8 +121,8 @@ def expected_cache_key(scenario) -> str:
 
 
 # ----------------------------------------------------------- scenarios
-#: bounded app configs — the matrix explores *schedules, shapes and
-#: toggles*, not problem sizes, so the programs stay tiny
+#: bounded app configs — the matrix explores *schedules and shapes*,
+#: not problem sizes, so the programs stay tiny
 TINY_KB = KernelBenchConfig(nx=8, ny=8, nz=8, reps=1)
 TINY_HPCCG = HpccgConfig(nx=8, ny=8, nz=8, max_iter=2,
                          intra_kernels=frozenset({"ddot"}))

@@ -1,11 +1,10 @@
-"""Differential legs over the *registered* generated grids.
+"""Cache legs over the *registered* generated grids.
 
 The hypothesis matrix explores synthetic scenarios; this suite walks
 the real ``grid:*`` catalog — a deterministic, evenly-strided sample
-from every family — and runs each point fresh under the oracle leg and
-under the maximally-different leg (array backend, every toggle off),
-asserting byte identity.  It pins that the shipped grid families stay
-inside the differential envelope as they grow.
+from every family — and runs each point fresh, cold-cached and warm,
+asserting byte identity under one cache key.  It pins that the shipped
+grid families stay inside the differential envelope as they grow.
 """
 
 from __future__ import annotations
@@ -16,9 +15,6 @@ import pytest
 
 import oracle_matrix as om
 from repro.scenarios import grid_entries
-
-CONTRARIAN_LEG = om.TOGGLE_LEGS[-1]
-
 
 def _sampled_points():
     """An evenly-strided, deterministic sample of point names across
@@ -33,13 +29,14 @@ def _sampled_points():
 
 
 @pytest.mark.parametrize("name", _sampled_points())
-def test_grid_point_identical_across_contrarian_leg(name):
+def test_grid_point_identical_across_cache_legs(name, tmp_path):
     from repro.scenarios import get_scenario
     scenario = get_scenario(name)
-    oracle = om.run_leg(scenario, om.ORACLE_LEG)
-    other = om.run_leg(scenario, CONTRARIAN_LEG)
-    assert om.canonical(other) == om.canonical(oracle), om.describe(
-        scenario, CONTRARIAN_LEG, f"grid point {name}")
+    want = om.canonical(om.run_leg(scenario))
+    for phase in ("cold", "warm"):
+        got = om.run_leg(scenario, cache_dir=tmp_path)
+        assert om.canonical(got) == want, om.describe(
+            scenario, f"grid point {name}, {phase}")
 
 
 def test_sample_spans_every_family():

@@ -3,16 +3,22 @@ benchmarks run the full-size versions)."""
 
 import pytest
 
+import repro
 from repro.apps.hpccg import KernelBenchConfig
 from repro.apps.minighost import MiniGhostConfig
 from repro.experiments import (ccr_vs_replication, crossover_point,
-                               fig5a, fig5b, fig6d, nodes_for, run_mode,
-                               three_mode_rows)
+                               fig5a, fig5b, fig6d, nodes_for,
+                               scenario_for, three_mode_rows)
 from repro.apps.hpccg import hpccg_kernel_bench
 from repro.netmodel import GRID5000_MACHINE
 
 
 SMALL_KB = KernelBenchConfig(nx=8, ny=8, nz=8, reps=1)
+
+
+def run_mode(mode, program, n_logical, config):
+    return repro.run(scenario_for(mode, program, n_logical, config),
+                     cache=False)
 
 
 def test_nodes_for_each_mode():

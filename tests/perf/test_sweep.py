@@ -49,16 +49,30 @@ def _worker_backend(_x):
 
 
 def test_pool_workers_inherit_engine_backend():
-    """A backend selected programmatically in the parent (not via the
-    REPRO_ENGINE env var) must reach pool workers too."""
-    from repro.simulate import set_engine_backend
-    prev = set_engine_backend("array")
+    """Pool workers run on the engine the parent reports (the name
+    perfbench records as provenance)."""
+    from repro.simulate import get_engine_backend
+    assert (run_sweep([1, 2], _worker_backend, workers=2)
+            == [get_engine_backend()] * 2)
+
+
+def _worker_cache_backend(_x):
+    from repro.fabric.store import get_cache_backend
+    return get_cache_backend()
+
+
+def test_pool_workers_inherit_cache_backend():
+    """A cache backend selected programmatically in the parent (not via
+    the REPRO_CACHE_BACKEND env var) must reach pool workers too."""
+    from repro.fabric.store import set_cache_backend
+    prev = set_cache_backend("sqlite")
     try:
-        assert (run_sweep([1, 2], _worker_backend, workers=2)
-                == ["array", "array"])
+        assert (run_sweep([1, 2], _worker_cache_backend, workers=2)
+                == ["sqlite", "sqlite"])
     finally:
-        set_engine_backend(prev)
-    assert run_sweep([1, 2], _worker_backend, workers=2) == [prev, prev]
+        set_cache_backend(prev)
+    assert (run_sweep([1, 2], _worker_cache_backend, workers=2)
+            == [prev, prev])
 
 
 def test_disk_cache_hit_skips_recompute(tmp_path):

@@ -1,123 +1,32 @@
-"""Engine-backend seam: selection, semantics parity, and the array
-backend's edge cases.
+"""Engine semantics cases: sleeps, kills, same-time order, conditions,
+resources, ``step()``/``until`` boundaries, and sleeps that are held,
+abandoned or re-yielded around the timeout free list.
 
-Selection mirrors the other engine toggles: ``Simulator(backend=...)``
-wins over :func:`set_engine_backend`, which wins over ``REPRO_ENGINE``
-(parsed defensively — a garbage value warns and falls back to the
-python oracle).  The behavioral tests run the same model under both
-backends and assert identical observables; the sticky-wake edge cases
-target the array fire loop's reuse protocol specifically.
+Each case is parametrized by the engine name
+:func:`~repro.simulate.get_engine_backend` reports — the name the
+benchmark records as provenance — and checks that it names the engine a
+plain ``Simulator()`` runs on.
 """
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
-import warnings
 
 import pytest
 
 from repro.simulate import (DeadlockError, ProcessKilled, Resource,
                             SimulationError, Simulator, Store,
-                            ENGINE_BACKENDS, get_engine_backend,
-                            set_engine_backend)
-from repro.simulate.backends import _env_engine
+                            get_engine_backend)
 
-BACKENDS = list(ENGINE_BACKENDS)
+BACKENDS = [get_engine_backend()]
 
 
-# -- selection ---------------------------------------------------------
-
-def test_backend_names():
-    assert ENGINE_BACKENDS == ("python", "array")
-
-
-def test_explicit_backend_param():
-    assert Simulator(backend="python").backend == "python"
-    sim = Simulator(backend="array")
-    assert sim.backend == "array"
-    # the array backend shadows the queue entry points with instance
-    # attributes (zero-dispatch-cost seam)
-    assert "run" in sim.__dict__ and "sleep" in sim.__dict__
-
-
-def test_unknown_backend_raises():
-    with pytest.raises(ValueError, match="unknown engine backend"):
-        Simulator(backend="simd")
-    with pytest.raises(ValueError, match="unknown engine backend"):
-        set_engine_backend("simd")
-
-
-def test_module_default_toggle_mirrors_set_section_batching():
-    prev = set_engine_backend("array")
-    try:
-        assert get_engine_backend() == "array"
-        assert Simulator().backend == "array"
-        # explicit always wins over the module default
-        assert Simulator(backend="python").backend == "python"
-    finally:
-        set_engine_backend(prev)
-    assert Simulator().backend == prev
-
-
-def test_fast_false_forces_python_oracle():
-    """``fast=False`` is the seed-equivalent baseline loop — the oracle
-    cannot be swapped out from under the benchmarks."""
-    sim = Simulator(fast=False, backend="array")
-    assert sim.backend == "python"
-    assert "run" not in sim.__dict__
-
-
-def test_env_var_selects_backend():
-    code = ("import repro.simulate as s; "
-            "print(s.Simulator().backend)")
-    env = dict(os.environ, REPRO_ENGINE="array",
-               PYTHONPATH="src")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "array"
-
-
-def test_garbage_env_var_warns_and_falls_back():
-    """A hostile ``REPRO_ENGINE`` must neither raise at import nor
-    change semantics — warn and use the python oracle (the
-    ``REPRO_WORKERS`` defensive-parse contract)."""
-    code = ("import warnings; warnings.simplefilter('error'); "
-            "import repro.simulate as s; "
-            "print(s.Simulator().backend)")
-    env = dict(os.environ, REPRO_ENGINE="turbo9000", PYTHONPATH="src")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    # with warnings-as-errors the import itself must still not die
-    # silently wrong — assert the warning fired and named the value
-    assert "turbo9000" in out.stderr
-    assert "RuntimeWarning" in out.stderr
-
-
-def test_env_parse_helper():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        os.environ["_REPRO_ENGINE_TEST"] = "bogus"
-        try:
-            assert _env_engine("_REPRO_ENGINE_TEST") == "python"
-        finally:
-            del os.environ["_REPRO_ENGINE_TEST"]
-    assert any("bogus" in str(w.message) for w in caught)
-    assert _env_engine("_REPRO_ENGINE_UNSET") == "python"
-
-
-# -- behavioral parity -------------------------------------------------
-
-def _collect(backend, body_factory, **sim_kw):
-    sim = Simulator(backend=backend, **sim_kw)
-    out = body_factory(sim)
-    return sim, out
+def _sim(backend):
+    assert backend == get_engine_backend() == "python"
+    return Simulator()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_sleep_chain_clock(backend):
-    sim = Simulator(backend=backend)
+    sim = _sim(backend)
     log = []
 
     def body(sim):
@@ -132,45 +41,8 @@ def test_sleep_chain_clock(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_integer_clock_stays_integral(backend):
-    """Consolidation must not launder int times through floats (trace
-    ``repr(time)`` bit-identity depends on it).  ``sleep_until`` with an
-    int target is the oracle's int-time entry point (``sleep`` adds to
-    the float starting clock, so it yields floats under both engines)."""
-    sim = Simulator(backend=backend)
-    times = []
-
-    def body(sim):
-        for t in (2, 5, 9):
-            yield sim.sleep_until(t)
-            times.append(sim.now)
-
-    sim.process(body(sim))
-    sim.run()
-    assert [repr(t) for t in times] == ["2", "5", "9"]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sleep_until_exact_time(backend):
-    """``sleep_until(t)`` wakes at exactly ``t`` — not at
-    ``now + (t - now)``, which is a different float."""
-    target = 0.30000000000000004  # 0.1 + 0.2: not reachable via now+delta
-    sim = Simulator(backend=backend)
-    woke = []
-
-    def body(sim):
-        yield sim.sleep(0.1)
-        yield sim.sleep_until(target)
-        woke.append(sim.now)
-
-    sim.process(body(sim))
-    sim.run()
-    assert repr(woke[0]) == repr(target)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_same_time_events_fire_in_schedule_order(backend):
-    sim = Simulator(backend=backend)
+    sim = _sim(backend)
     order = []
 
     def body(sim, tag, delay):
@@ -186,7 +58,7 @@ def test_same_time_events_fire_in_schedule_order(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_until_stops_clock_between_events(backend):
-    sim = Simulator(backend=backend)
+    sim = _sim(backend)
 
     def body(sim):
         yield sim.sleep(10.0)
@@ -203,7 +75,7 @@ def test_until_stops_clock_between_events(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_step_drains_one_timestamp(backend):
-    sim = Simulator(backend=backend)
+    sim = _sim(backend)
     order = []
 
     def spawner(sim):
@@ -226,7 +98,7 @@ def test_step_drains_one_timestamp(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_kill_sleeping_process(backend):
-    sim = Simulator(backend=backend)
+    sim = _sim(backend)
     woke = []
 
     def body(sim):
@@ -239,12 +111,12 @@ def test_kill_sleeping_process(backend):
     sim.run()
     assert woke == []
     assert p.killed
-    assert sim.now == 5.0  # the orphan row still advances the clock
+    assert sim.now == 5.0  # the orphaned wake still advances the clock
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_kill_propagates_to_joiner(backend):
-    sim = Simulator(backend=backend)
+    sim = _sim(backend)
     caught = []
 
     def victim(sim):
@@ -266,7 +138,7 @@ def test_kill_propagates_to_joiner(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_process_failure_propagates(backend):
-    sim = Simulator(backend=backend)
+    sim = _sim(backend)
 
     def boom(sim):
         yield sim.sleep(1.0)
@@ -279,10 +151,9 @@ def test_process_failure_propagates(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_exception_keeps_same_time_peers_fireable(backend):
-    """An exception mid-batch must leave the unfired same-time rows
-    queued (the oracle pops one event at a time; the array fire loop
-    pushes the remainder back)."""
-    sim = Simulator(backend=backend)
+    """An exception mid-batch must leave the unfired same-time events
+    queued, so a second run() fires them."""
+    sim = _sim(backend)
     ran = []
 
     def boom(sim):
@@ -305,7 +176,7 @@ def test_exception_keeps_same_time_peers_fireable(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_resources_and_store(backend):
-    sim = Simulator(backend=backend)
+    sim = _sim(backend)
     log = []
 
     res = Resource(sim, capacity=1, name="r")
@@ -335,7 +206,7 @@ def test_resources_and_store(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_conditions(backend):
-    sim = Simulator(backend=backend)
+    sim = _sim(backend)
     got = []
 
     def body(sim):
@@ -351,13 +222,14 @@ def test_conditions(backend):
     assert got == [(1.0, (0, "one")), (2.0, ["two"])]
 
 
-# -- sticky-wake edge cases (array fire-loop reuse protocol) -----------
+# -- sleeps around the timeout free list -------------------------------
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_sleep_token_held_and_yielded_later(backend):
-    """Holding the token across other work must not confuse the pool:
-    the row is observable, so the array backend takes the cold path."""
-    sim = Simulator(backend=backend)
+    """Holding the token across other work must not confuse the
+    timeout free list: the held timeout is referenced, so it is never
+    recycled under the holder."""
+    sim = _sim(backend)
     log = []
 
     def body(sim):
@@ -376,14 +248,12 @@ def test_sleep_token_held_and_yielded_later(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_sleep_then_yield_other_event_no_spurious_wake(backend):
     """A process that takes a sleep token but yields a *different*
-    event must not be woken by the abandoned row (the array backend
-    hands the fired row to sleep() still bound — the binding must be
-    stripped when the process yields something else)."""
-    sim = Simulator(backend=backend)
+    event must not be woken by the abandoned timeout."""
+    sim = _sim(backend)
     woke = []
 
     def body(sim, ev):
-        yield sim.sleep(1.0)          # primes the sticky hand-off
+        yield sim.sleep(1.0)          # primes the free list
         sim.sleep(2.0)                # taken, abandoned (fires at 3.0)
         got = yield ev                # real wait: fires at 5.0
         woke.append((sim.now, got))
@@ -402,9 +272,9 @@ def test_sleep_then_yield_other_event_no_spurious_wake(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_sleep_abandoned_then_reyielded(backend):
-    """An abandoned-then-reyielded token still works: the stripped row
-    rebinds when finally yielded (before it fires)."""
-    sim = Simulator(backend=backend)
+    """An abandoned-then-reyielded token still works: it binds its
+    waiter when finally yielded (before it fires)."""
+    sim = _sim(backend)
     woke = []
 
     def body(sim):
@@ -421,9 +291,9 @@ def test_sleep_abandoned_then_reyielded(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_final_sleep_then_return(backend):
-    """sleep() consumed, process returns without yielding: the staged
-    row becomes a waiterless no-op (oracle: an unyielded timeout)."""
-    sim = Simulator(backend=backend)
+    """sleep() taken, process returns without yielding: the timeout
+    fires as a waiterless no-op that still advances the clock."""
+    sim = _sim(backend)
 
     def body(sim):
         yield sim.sleep(1.0)
@@ -438,7 +308,7 @@ def test_final_sleep_then_return(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_zero_delay_sleep_chain(backend):
-    sim = Simulator(backend=backend)
+    sim = _sim(backend)
     ticks = []
 
     def body(sim):
@@ -451,13 +321,12 @@ def test_zero_delay_sleep_chain(backend):
     assert ticks == [(0, 0.0), (1, 0.0), (2, 0.0), (3, 0.0)]
 
 
-# -- peek()/DeadlockError parity on pooled-row-only queues -------------
-# (the satellite bugfix: both backends must agree when the queue holds
-# nothing but pooled timeout rows — e.g. after their waiters were
-# killed — including what peek() reports and how deadlock is detected)
+# -- peek()/DeadlockError on a queue holding only orphaned wakes -------
+# (e.g. after their waiters were killed: peek() still reports the wake
+# and deadlock detection names only the blocked process)
 
-def _orphan_queue(backend):
-    sim = Simulator(backend=backend)
+def _orphan_queue():
+    sim = _sim(get_engine_backend())
 
     def sleeper(sim):
         yield sim.sleep(5.0)
@@ -474,35 +343,26 @@ def _orphan_queue(backend):
 
 
 def test_peek_agrees_on_orphan_only_queue():
-    peeks = {}
-    for backend in BACKENDS:
-        sim = _orphan_queue(backend)
-        # drain the kill-propagation event; only the orphan wake row
-        # (waiterless pooled timeout) remains queued
-        sim.run(until=2.0)
-        peeks[backend] = sim.peek()
-    assert peeks["python"] == peeks["array"] == 5.0
+    sim = _orphan_queue()
+    # drain the kill-propagation event; only the killed sleeper's
+    # waiterless wake remains queued
+    sim.run(until=2.0)
+    assert sim.peek() == 5.0
 
 
 def test_deadlock_reporting_agrees_on_orphan_only_queue():
-    outcomes = {}
-    for backend in BACKENDS:
-        sim = _orphan_queue(backend)
-        with pytest.raises(DeadlockError) as exc:
-            sim.run(detect_deadlock=True)
-        outcomes[backend] = (str(exc.value), sim.now)
-    assert outcomes["python"] == outcomes["array"]
-    msg, now = outcomes["python"]
+    sim = _orphan_queue()
+    with pytest.raises(DeadlockError) as exc:
+        sim.run(detect_deadlock=True)
+    msg = str(exc.value)
     assert "stuck" in msg and "sleeper" not in msg
-    assert now == 5.0                 # orphan rows still advance time
+    assert sim.now == 5.0             # orphaned wakes still advance time
 
 
 def test_peek_sees_unconsolidated_rows():
-    """Rows scheduled but not yet run (staged, for the array backend)
-    are part of the queue and must be visible to peek()."""
-    for backend in BACKENDS:
-        sim = Simulator(backend=backend)
-        sim.timeout(3.0)
-        assert sim.peek() == 3.0, backend
-    sim = Simulator()
-    assert sim.peek() == float("inf")
+    """Timeouts scheduled but not yet run are part of the queue and
+    must be visible to peek()."""
+    sim = _sim(get_engine_backend())
+    sim.timeout(3.0)
+    assert sim.peek() == 3.0
+    assert Simulator().peek() == float("inf")

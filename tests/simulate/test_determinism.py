@@ -40,14 +40,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden_trace_failure.json"
 CRASH_AT = 0.002
 
 
-def run_scenario(batched: bool = True):
+def run_scenario():
     """Run the failure-injection scenario; return (trace, results).
 
     ``trace`` is a list of ``[time_repr, type_name, label]`` triples, one
-    per processed event, in processing order.  ``batched`` selects the
-    engine run loop: ``Simulator.run_batched`` (the default dispatch
-    path of ``MpiWorld.run``) or the unbatched ``Simulator.run`` oracle
-    — the two must replay identical event streams.
+    per processed event, in processing order.
     """
     trace = []
 
@@ -58,7 +55,6 @@ def run_scenario(batched: bool = True):
                          intra_kernels=frozenset({"ddot", "spmv"}))
     world = MpiWorld(Cluster(4, GRID5000_MACHINE), GRID5000_NETWORK,
                      trace=record)
-    world.sim.batched = batched
     job = launch_intra_job(world, hpccg_program, 2, args=(config,))
     FailureInjector(job.manager).kill_at(0, 1, CRASH_AT)
     world.run()
@@ -92,47 +88,6 @@ def test_trace_is_replayable():
     trace_b, values_b = run_scenario()
     assert trace_a == trace_b
     assert repr(values_a) == repr(values_b)
-
-
-def test_batched_dispatch_matches_unbatched_event_order():
-    """run_batched() replays the unbatched engine's exact event
-    interleaving — the wake-coalescing defer slot is order-exact even
-    through failure detection and recovery."""
-    trace_batched, values_batched = run_scenario(batched=True)
-    trace_unbatched, values_unbatched = run_scenario(batched=False)
-    assert trace_batched == trace_unbatched
-    assert repr(values_batched) == repr(values_unbatched)
-
-
-def test_unbatched_run_still_matches_seed_golden():
-    """The unbatched oracle loop also replays the seed golden trace
-    (guards against the batched path becoming load-bearing)."""
-    golden = json.loads(GOLDEN.read_text())
-    trace, values = run_scenario(batched=False)
-    assert len(trace) == golden["n_events"]
-    assert fingerprint(trace) == golden["sha256"]
-    assert repr(values) == golden["values_repr"]
-
-
-def test_array_backend_matches_seed_golden():
-    """The array engine backend replays the seed golden trace
-    bit-for-bit — event count, per-event time/type/label order and
-    final values all survive the backend swap (with a trace hook
-    installed the backend stages real Timeouts and fires every event
-    on the oracle-equivalent generic path)."""
-    from repro.simulate import set_engine_backend
-
-    golden = json.loads(GOLDEN.read_text())
-    prev = set_engine_backend("array")
-    try:
-        trace, values = run_scenario()
-    finally:
-        set_engine_backend(prev)
-    assert len(trace) == golden["n_events"]
-    assert fingerprint(trace) == golden["sha256"]
-    assert trace[:10] == golden["head"]
-    assert trace[-10:] == golden["tail"]
-    assert repr(values) == golden["values_repr"]
 
 
 if __name__ == "__main__":
