@@ -1,8 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint detcheck fuzz bench bench-all docs-check api-check \
-	profile figures clean
+.PHONY: test lint detcheck fuzz bench-all docs-check api-check \
+	figures clean
 
 ## tier-1 test suite (what CI gates on)
 test:
@@ -30,12 +30,6 @@ fuzz:
 	REPRO_FUZZ_PROFILE=differential $(PYTHON) -m pytest \
 	    tests/differential -q
 
-## regenerate benchmarks/BENCH_sim_core.json (fabric service/store
-## legs) and print the table; the end-to-end, layer-attributed
-## benchmark is perfbench/ (see perfbench/README.md)
-bench:
-	$(PYTHON) -m pytest benchmarks/test_perf_fabric.py -q -s
-
 ## docs: executable snippets in docs/*.md + intra-repo markdown links
 docs-check:
 	$(PYTHON) -m pytest tests/docs -q
@@ -48,14 +42,6 @@ api-check:
 ## every figure-regeneration benchmark (tables under benchmarks/_results/)
 bench-all:
 	$(PYTHON) -m pytest benchmarks -q -s
-
-## profile the fig5b sweep hot path (top 30 by cumulative time)
-profile:
-	$(PYTHON) -c "import cProfile, pstats; \
-	from repro.experiments.fig5 import fig5b; \
-	pr = cProfile.Profile(); pr.enable(); \
-	fig5b(process_counts=(8, 16)); pr.disable(); \
-	pstats.Stats(pr).sort_stats('cumulative').print_stats(30)"
 
 ## regenerate all paper tables (parallel, cached)
 figures:

@@ -29,10 +29,10 @@ so the next one never lands:
     :mod:`repro._envflags` — every env toggle goes through the
     defensive parsers so garbage values warn instead of diverging.
 ``ORC001``
-    A module-level fast-path toggle (a ``set_*`` function mutating a
-    global) whose docstring does not document its oracle fallback —
-    ROADMAP's perf discipline: every fast path keeps a toggleable
-    oracle.
+    A module-level ``set_*`` function that writes a ``global`` — a
+    process-wide switch — unless it is on a short allowlist of
+    deployment settings (``set_cache_backend``).  ROADMAP's discipline:
+    one execution path, no runtime toggles.
 
 Findings can be suppressed in place with a *justified* comment::
 

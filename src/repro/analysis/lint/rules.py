@@ -54,10 +54,10 @@ ALL_RULES: _t.Dict[str, Rule] = {r.code: r for r in (
          "(env_flag/env_int/env_choice/env_str) so garbage values "
          "warn instead of silently diverging"),
     Rule("ORC001",
-         "fast-path toggle without a documented oracle fallback",
-         "state in the setter's docstring which oracle path the "
-         "toggle falls back to and how results are proven identical "
-         "(ROADMAP perf discipline)"),
+         "module-level set_*() writes process-wide global state",
+         "pass the setting as an argument or scenario field instead; "
+         "a fast path that pays stays on unconditionally, one that "
+         "does not is deleted (ROADMAP: one execution path)"),
 )}
 
 
@@ -70,6 +70,9 @@ _DET002_LAYERS = ("simulate", "replication", "mpi", "intra")
 _DET003_EXEMPT = ("perf", "benchmarks", "fabric")
 #: the one module allowed to touch os.environ
 _ENV001_EXEMPT = ("_envflags.py",)
+#: module-level global setters ORC001 accepts: deployment settings,
+#: not result-affecting toggles
+_ORC001_ALLOWED = ("set_cache_backend",)
 
 
 # -------------------------------------------------------------- finding
@@ -208,7 +211,6 @@ class _FileChecker(ast.NodeVisitor):
         self.check_det002 = det002
         self.check_det003 = det003
         self.check_env001 = env001
-        self._module_doc = (ast.get_docstring(tree) or "")
         self._comprehensions_checked = set()
         self._precollect(tree)
 
@@ -580,14 +582,13 @@ class _FileChecker(ast.NodeVisitor):
                          for stmt in ast.walk(node))
         if not has_global:
             return
-        doc = (ast.get_docstring(node) or "") + self._module_doc
-        if "oracle" in doc.lower():
+        if node.name in _ORC001_ALLOWED:
             return
         self._flag(
             "ORC001", node,
-            f"{node.name}() flips a module-level fast-path toggle but "
-            f"neither its docstring nor the module docstring documents "
-            f"the oracle fallback")
+            f"{node.name}() writes a module-level global: a "
+            f"process-wide switch not on the allowlist "
+            f"({', '.join(_ORC001_ALLOWED)})")
 
     # -------------------------------------------------- scope plumbing
     def generic_visit(self, node: ast.AST) -> None:

@@ -31,6 +31,7 @@ import typing as _t
 
 from .perf import PointFailure
 from .perf import iter_sweep as _perf_iter_sweep
+from .perf.retry import RetryPolicy
 from .results import ResultSet, RunResult
 from .scenarios import Scenario, scenario_cache_key
 from .scenarios.run import SCENARIO_SWEEP_TAG, _run_scenario
@@ -262,8 +263,7 @@ def _iter_fabric(resolved: _t.Sequence[Scenario], fabric: _t.Any, *,
             if item is not None and item.state == "failed":
                 failure = PointFailure(
                     error=item.error or "point failed in fabric",
-                    kind="worker-lost" if "worker-lost" in
-                         (item.error or "") else "error",
+                    kind=RetryPolicy.kind_of(item.error or ""),
                     attempts=item.attempts)
                 if on_error == "raise":
                     raise RuntimeError(

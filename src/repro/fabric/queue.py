@@ -11,10 +11,11 @@ mode) holds two tables:
     a worker that dies mid-lease simply stops renewing — the next
     lease call expires the stale row, charges the item one
     ``worker-lost`` attempt (the accounting of
-    :class:`repro.perf.PointFailure`) and re-readies it with the sweep
-    driver's exponential backoff (``backoff * 2**k``, capped at 30 s).
-    An item that exhausts ``max_attempts`` parks as ``failed`` with its
-    last error; re-enqueueing it starts a fresh attempt budget (the
+    :class:`repro.perf.PointFailure`) and re-readies it after the delay
+    of :class:`repro.perf.retry.RetryPolicy` — the sweep driver's own
+    retry curve.  An item that exhausts ``max_attempts`` parks as
+    ``failed`` with its last error, whose prefix names its failure
+    kind; re-enqueueing it starts a fresh attempt budget (the
     sweep-layer contract: failures are never cached, the point
     recomputes on the next sweep).
 
@@ -38,6 +39,8 @@ import threading
 import time
 import typing as _t
 
+from ..perf.retry import RetryPolicy
+
 __all__ = ["Lease", "QueueStats", "WorkQueue", "QUEUE_FILENAME",
            "STATES"]
 
@@ -46,10 +49,6 @@ QUEUE_FILENAME = "queue.sqlite3"
 
 #: item lifecycle states
 STATES: _t.Tuple[str, ...] = ("ready", "leased", "done", "failed")
-
-#: upper bound on one retry-backoff delay, seconds (mirrors
-#: ``repro.perf.sweep._MAX_BACKOFF``)
-_MAX_BACKOFF = 30.0
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS queue (
@@ -120,12 +119,7 @@ class WorkQueue:
         if path.suffix not in (".sqlite3", ".sqlite", ".db"):
             path = path / QUEUE_FILENAME
         self.path = path
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if backoff < 0:
-            raise ValueError("backoff must be non-negative")
-        self.max_attempts = max_attempts
-        self.backoff = backoff
+        self.policy = RetryPolicy(max_attempts, backoff)
         self._local = threading.local()
 
     def _conn(self) -> sqlite3.Connection:
@@ -139,12 +133,6 @@ class WorkQueue:
             conn.commit()
             self._local.conn = conn
         return conn
-
-    def _backoff_delay(self, attempts: int) -> float:
-        # attempt k's retry waits backoff * 2**(k-1), capped — the
-        # sweep driver's exact retry curve
-        return min(self.backoff * (2 ** max(attempts - 1, 0)),
-                   _MAX_BACKOFF)
 
     # ------------------------------------------------------------ write
     def record_scenario(self, key: str, scenario_json: str) -> None:
@@ -196,22 +184,24 @@ class WorkQueue:
             (now,)).fetchall()
         for key, attempts, worker in stale:
             attempts += 1
-            error = (f"worker-lost: lease by {worker or '?'} expired "
-                     f"(attempt {attempts})")
-            if attempts >= self.max_attempts:
-                conn.execute(
-                    "UPDATE queue SET state = 'failed', attempts = ?, "
-                    "worker_lost = worker_lost + 1, lease_until = NULL, "
-                    "worker = NULL, error = ? WHERE key = ?",
-                    (attempts, error, key))
-            else:
-                conn.execute(
-                    "UPDATE queue SET state = 'ready', attempts = ?, "
-                    "worker_lost = worker_lost + 1, lease_until = NULL, "
-                    "worker = NULL, error = ?, ready_at = ? "
-                    "WHERE key = ?",
-                    (attempts, error, now + self._backoff_delay(attempts),
-                     key))
+            self._charge(conn, key, attempts, RetryPolicy.tag(
+                "worker-lost", f"lease by {worker or '?'} expired "
+                f"(attempt {attempts})"), now, worker_lost=True)
+
+    def _charge(self, conn: sqlite3.Connection, key: str, attempts: int,
+                error: str, now: float, worker_lost: bool = False) -> None:
+        """Record failed attempt number ``attempts`` of ``key``:
+        re-ready it after the policy's delay, or park it as ``failed``
+        once the budget is spent."""
+        exhausted = self.policy.exhausted(attempts)
+        conn.execute(
+            "UPDATE queue SET state = ?, attempts = ?, "
+            "worker_lost = worker_lost + ?, lease_until = NULL, "
+            "worker = NULL, error = ?, ready_at = COALESCE(?, ready_at) "
+            "WHERE key = ?",
+            ("failed" if exhausted else "ready", attempts, int(worker_lost),
+             error, None if exhausted else now + self.policy.delay(attempts),
+             key))
 
     def lease(self, worker: str, lease_s: float = 60.0,
               now: _t.Optional[float] = None) -> _t.Optional[Lease]:
@@ -269,19 +259,7 @@ class WorkQueue:
                 (key, worker)).fetchone()
             if row is None:
                 return False
-            attempts = row[0] + 1
-            if attempts >= self.max_attempts:
-                conn.execute(
-                    "UPDATE queue SET state = 'failed', attempts = ?, "
-                    "lease_until = NULL, worker = NULL, error = ? "
-                    "WHERE key = ?", (attempts, error, key))
-            else:
-                conn.execute(
-                    "UPDATE queue SET state = 'ready', attempts = ?, "
-                    "lease_until = NULL, worker = NULL, error = ?, "
-                    "ready_at = ? WHERE key = ?",
-                    (attempts, error,
-                     now + self._backoff_delay(attempts), key))
+            self._charge(conn, key, row[0] + 1, error, now)
         return True
 
     # ------------------------------------------------------------- read

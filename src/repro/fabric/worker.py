@@ -35,6 +35,7 @@ import sys
 import time
 import typing as _t
 
+from ..perf.retry import RetryPolicy
 from .core import Fabric
 from .queue import Lease
 
@@ -64,8 +65,8 @@ def process_one(fabric: Fabric, worker_id: str,
         mode_run = _run_scenario(scenario)
     except Exception as exc:  # noqa: BLE001 — any point failure is
         # queue accounting, not a daemon crash
-        fabric.queue.fail(lease.key, worker_id,
-                          f"error: {type(exc).__name__}: {exc}")
+        fabric.queue.fail(lease.key, worker_id, RetryPolicy.tag(
+            "error", f"{type(exc).__name__}: {exc}"))
         return lease.key
     fabric.put_result(lease.key, mode_run)
     fabric.queue.ack(lease.key, worker_id)

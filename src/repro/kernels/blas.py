@@ -16,16 +16,12 @@ import typing as _t
 
 import numpy as np
 
-from . import cachectl
-
 #: recycled per-size temporary for the scaled-operand term of waxpby
 #: (the kernel runs hundreds of times per CG solve on identical sizes)
 _tmp_cache: _t.Dict[int, np.ndarray] = {}
 
 
 def _tmp(n: int) -> np.ndarray:
-    if not cachectl.enabled():
-        return np.empty(n)
     buf = _tmp_cache.get(n)
     if buf is None:
         buf = _tmp_cache[n] = np.empty(n)

@@ -21,9 +21,8 @@ construction behind a small LRU keyed on
 ``(nx, ny, nz, has_lower, has_upper, offsets, diag_val, off_val)``.
 Cached matrices are shared, so their arrays are frozen read-only
 (mutation raises) and per-row-block index lookups (`row_block`) are
-cached on the matrix itself.  ``clear_csr_cache`` /
-``set_csr_cache_enabled`` / ``csr_cache_info`` control and observe the
-cache (the perf benchmark uses them to time cold vs warm builds).
+cached on the matrix itself.  ``clear_csr_cache`` / ``csr_cache_info``
+reset and observe the cache.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ import dataclasses
 import typing as _t
 
 import numpy as np
-
-from . import cachectl
 
 
 @dataclasses.dataclass
@@ -84,9 +81,6 @@ class CsrMatrix:
         The intra runtime evaluates each task's cost several times per
         section (scheduling + roofline charging) and executes the same
         row blocks every iteration, so these lookups are worth caching.
-        When kernel caching is disabled (:func:`set_csr_cache_enabled`),
-        the lookup is recomputed per call and the slice/scratch entries
-        are ``None`` (the reference kernel path does not use them).
         """
         key = (lo, hi)
         blk = self._block_cache.get(key)
@@ -98,16 +92,11 @@ class CsrMatrix:
             boundaries = np.zeros(hi - lo, dtype=np.intp)
             np.cumsum(counts[:-1], out=boundaries[1:])
             empties = np.flatnonzero(counts == 0)
-            if cachectl.enabled():
-                blk = (start, stop, boundaries,
-                       empties if empties.size else None, stop - start,
-                       self.col[start:stop], self.val[start:stop],
-                       np.empty(stop - start))
-                self._block_cache[key] = blk
-            else:
-                blk = (start, stop, boundaries,
-                       empties if empties.size else None, stop - start,
-                       None, None, None)
+            blk = (start, stop, boundaries,
+                   empties if empties.size else None, stop - start,
+                   self.col[start:stop], self.val[start:stop],
+                   np.empty(stop - start))
+            self._block_cache[key] = blk
         return blk
 
     def row_nnz(self, lo: int, hi: int) -> int:
@@ -177,78 +166,6 @@ def _build_stencil_arrays(nx: int, ny: int, nz: int, has_lower: bool,
                      row_ptr=row_ptr, col=flat_cols, val=flat_vals)
 
 
-def _build_stencil_arrays_reference(
-        nx: int, ny: int, nz: int, has_lower: bool, has_upper: bool,
-        offsets: _t.Tuple[_t.Tuple[int, int, int], ...],
-        diag_val: float, off_val: float) -> CsrMatrix:
-    """The seed's CSR construction, kept verbatim as a reference
-    implementation: it is the oracle the optimized builder is
-    differential-tested against, and the path taken when kernel caching
-    is disabled (the perf benchmark's seed-equivalent baseline).
-
-    Enumerates the grid in meshgrid order and sorts rows into canonical
-    order afterwards (``np.stack`` + ``argsort`` — the round-trip the
-    optimized builder avoids).
-    """
-    plane = nx * ny
-    n = plane * nz
-    halo_lo = plane if has_lower else 0
-    halo_hi = plane if has_upper else 0
-
-    ix = np.arange(nx)
-    iy = np.arange(ny)
-    iz = np.arange(nz)
-    X, Y, Z = np.meshgrid(ix, iy, iz, indexing="ij")
-    X = X.ravel()
-    Y = Y.ravel()
-    Z = Z.ravel()
-    row_of = (X + nx * Y + plane * Z)
-
-    cols_per_offset = []
-    valid_per_offset = []
-    vals_per_offset = []
-    for dx, dy, dz in offsets:
-        nxx, nyy, nzz = X + dx, Y + dy, Z + dz
-        valid = ((0 <= nxx) & (nxx < nx)
-                 & (0 <= nyy) & (nyy < ny))
-        below = nzz < 0
-        above = nzz >= nz
-        if has_lower:
-            z_ok = np.ones_like(valid)
-        else:
-            z_ok = ~below
-        if not has_upper:
-            z_ok = z_ok & ~above
-        valid = valid & z_ok
-        col = np.where(
-            below, nxx + nx * nyy,
-            np.where(above,
-                     halo_lo + n + nxx + nx * nyy,
-                     halo_lo + nxx + nx * nyy + plane * nzz))
-        diag = (dx == 0) and (dy == 0) and (dz == 0)
-        vals = np.where(diag, diag_val, off_val)
-        cols_per_offset.append(col)
-        valid_per_offset.append(valid)
-        vals_per_offset.append(np.broadcast_to(vals, col.shape))
-
-    cols = np.stack(cols_per_offset, axis=1)
-    valids = np.stack(valid_per_offset, axis=1)
-    vals = np.stack(vals_per_offset, axis=1)
-    counts = valids.sum(axis=1)
-    order = np.argsort(row_of, kind="stable")
-    cols = cols[order]
-    valids = valids[order]
-    vals = vals[order]
-    counts = counts[order]
-
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    flat_cols = cols[valids].astype(np.int32)
-    flat_vals = vals[valids].astype(np.float64)
-    return CsrMatrix(n_rows=n, halo_lo=halo_lo, halo_hi=halo_hi,
-                     row_ptr=row_ptr, col=flat_cols, val=flat_vals)
-
-
 # --------------------------------------------------------------- LRU cache
 _CSR_CACHE_MAX = 32
 _csr_cache: "collections.OrderedDict[tuple, CsrMatrix]" = \
@@ -257,13 +174,6 @@ _csr_hits = 0
 _csr_misses = 0
 #: total number of actual (uncached) constructions, for cache tests
 build_count = 0
-
-
-def set_csr_cache_enabled(enabled: bool) -> bool:
-    """Enable/disable kernel-layer caching (CSR memoization, row-block
-    lookups, stencil scratch, blas temporaries); returns the previous
-    setting."""
-    return cachectl.set_enabled(enabled)
 
 
 def clear_csr_cache() -> None:
@@ -308,12 +218,6 @@ def build_stencil_csr(nx: int, ny: int, nz: int, has_lower: bool,
         raise ValueError("grid dimensions must be positive")
     key_offsets = tuple((int(dx), int(dy), int(dz))
                         for dx, dy, dz in offsets)
-    if not cachectl.enabled():
-        # uncached mode is the seed-equivalent reference configuration
-        build_count += 1
-        return _build_stencil_arrays_reference(
-            nx, ny, nz, bool(has_lower), bool(has_upper), key_offsets,
-            float(diag_val), float(off_val))
     key = (nx, ny, nz, bool(has_lower), bool(has_upper), key_offsets,
            float(diag_val), float(off_val))
     matrix = _csr_cache.get(key)
@@ -352,26 +256,6 @@ def build_7pt(nx: int, ny: int, nz: int, has_lower: bool,
                              OFFSETS_7, diag_val=6.0, off_val=-1.0)
 
 
-def _spmv_rows_reference(matrix: CsrMatrix, x_padded: np.ndarray, lo: int,
-                         hi: int, y_block: np.ndarray) -> None:
-    """The seed's row-block product, kept verbatim: the differential
-    oracle for :func:`spmv_rows` and the path taken when kernel caching
-    is disabled (all boundary indices recomputed per call)."""
-    start = int(matrix.row_ptr[lo])
-    stop = int(matrix.row_ptr[hi])
-    prod = matrix.val[start:stop] * x_padded[matrix.col[start:stop]]
-    counts = (matrix.row_ptr[lo + 1:hi + 1]
-              - matrix.row_ptr[lo:hi]).astype(np.int64)
-    boundaries = np.concatenate(
-        ([0], np.cumsum(counts)[:-1])).astype(np.int64)
-    if prod.size:
-        sums = np.add.reduceat(prod, boundaries)
-        sums[counts == 0] = 0.0
-    else:
-        sums = np.zeros(hi - lo)
-    np.copyto(y_block, sums)
-
-
 def spmv_rows(matrix: CsrMatrix, x_padded: np.ndarray, lo: int, hi: int,
               y_block: np.ndarray) -> None:
     """``y[lo:hi] = A[lo:hi, :] @ x_padded`` — one intra-parallel task.
@@ -382,16 +266,13 @@ def spmv_rows(matrix: CsrMatrix, x_padded: np.ndarray, lo: int, hi: int,
     buffer, the product is formed in place, and the segmented sum
     (``np.add.reduceat`` on the cached row boundaries) reduces straight
     into ``y_block``.  The arithmetic — gather, multiply, left-to-right
-    segmented sum — is operation-for-operation the reference kernel's,
-    so results are bit-identical to :func:`_spmv_rows_reference`
-    (``tests/kernels/test_csr_cache.py`` asserts exact equality).
+    segmented sum — is operation-for-operation the seed's per-call
+    kernel, so results are bit-identical to it (the reference lives in
+    ``tests/kernels/test_csr_cache.py``, which asserts exact equality).
 
     ``x_padded`` and ``y_block`` must be float64 (all kernel call sites
     are); ``y_block`` must be a contiguous view of ``hi - lo`` entries.
     """
-    if not cachectl.enabled():
-        _spmv_rows_reference(matrix, x_padded, lo, hi, y_block)
-        return
     (start, stop, boundaries, empty_rows, _nnz,
      col_block, val_block, scratch) = matrix.row_block(lo, hi)
     if stop > start:

@@ -20,8 +20,6 @@ import typing as _t
 
 import numpy as np
 
-from . import cachectl
-
 #: per-shape scratch arrays; borders of "pad" entries stay zero
 _scratch: _t.Dict[tuple, np.ndarray] = {}
 
@@ -34,10 +32,6 @@ def clear_stencil_scratch() -> None:
 def _padded(grid: np.ndarray) -> np.ndarray:
     """Return ``grid`` staged into an x/y zero-padded scratch array."""
     nx, ny, nz2 = grid.shape
-    if not cachectl.enabled():
-        buf = np.zeros((nx + 2, ny + 2, nz2))
-        buf[1:-1, 1:-1, :] = grid
-        return buf
     key = ("pad", nx, ny, nz2)
     buf = _scratch.get(key)
     if buf is None:
@@ -48,8 +42,6 @@ def _padded(grid: np.ndarray) -> np.ndarray:
 
 def _interior_scratch(shape: tuple) -> np.ndarray:
     """An uninitialised per-shape temporary of interior shape."""
-    if not cachectl.enabled():
-        return np.empty(shape)
     key = ("tmp", *shape)
     buf = _scratch.get(key)
     if buf is None:

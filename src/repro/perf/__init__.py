@@ -5,7 +5,8 @@ sweep points; :func:`run_sweep` evaluates them through a process pool
 with optional on-disk memoization.  See :mod:`repro.perf.sweep`.
 """
 
-from .sweep import (CACHE_VERSION, PointFailure, SweepConfig, SweepItem,
+from .retry import PointFailure
+from .sweep import (CACHE_VERSION, SweepConfig, SweepItem,
                     clear_result_cache, configure, get_config, iter_sweep,
                     point_cache_key, run_sweep, stable_token)
 

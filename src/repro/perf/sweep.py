@@ -31,6 +31,7 @@ import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 from .. import _envflags
+from .retry import PointFailure, RetryPolicy
 
 #: bump to invalidate every cached result (e.g. on model changes)
 CACHE_VERSION = 2
@@ -232,10 +233,6 @@ def clear_result_cache(cache_dir: _t.Optional[_t.Union[str, pathlib.Path]]
 
 
 # ------------------------------------------------------------- the driver
-#: upper bound on one retry-backoff sleep, seconds
-_MAX_BACKOFF = 30.0
-
-
 def _worker_init(cache_backend: _t.Optional[str] = None) -> None:
     """Pool-worker initializer: mirror the parent's cache backend.
 
@@ -249,32 +246,6 @@ def _worker_init(cache_backend: _t.Optional[str] = None) -> None:
     if cache_backend is not None:
         from repro.fabric.store import set_cache_backend
         set_cache_backend(cache_backend)
-
-
-@dataclasses.dataclass
-class PointFailure:
-    """Structured outcome of a sweep point that exhausted its retries.
-
-    Yielded as a :class:`SweepItem`'s ``value`` under
-    ``on_error="return"`` instead of raising, so one pathological point
-    cannot take down a long sweep.  Failures are never written to the
-    cache — the point recomputes on the next sweep.
-
-    ``kind`` is ``"error"`` (``fn`` raised), ``"timeout"`` (the point
-    exceeded the per-point budget) or ``"worker-lost"`` (the pool
-    worker running — or queued to run — the point died).
-    """
-
-    error: str
-    kind: str = "error"
-    attempts: int = 1
-
-
-# This module is importlib.reload()-ed by tests to re-run the
-# import-time env parsing; pin one canonical class object across
-# reloads so isinstance checks on previously-imported references and
-# previously-created failures stay true.
-PointFailure = globals().setdefault("_PointFailure", PointFailure)
 
 
 @dataclasses.dataclass
@@ -325,9 +296,12 @@ def iter_sweep(points: _t.Sequence[_t.Any],
       wave; unfinished points count a ``"timeout"`` attempt.
     * ``retries`` — how many times a failed point (exception, timeout,
       dead worker) is re-attempted, with exponential backoff
-      (``backoff * 2**k`` seconds before retry round ``k``, capped at
-      30 s).  Worker death never poisons the sweep: completed points
-      keep their results and the survivors retry on a fresh pool.
+      (``backoff * 2**(k-1)`` seconds after failed attempt ``k``,
+      capped at 30 s — the retry curve of
+      :class:`~repro.perf.retry.RetryPolicy`, which the fabric work
+      queue shares).  Worker death never poisons the sweep: completed
+      points keep their results and the survivors retry on a fresh
+      pool.
     * ``on_error`` — ``"raise"`` (default) re-raises the first point
       that exhausts its attempts; ``"return"`` yields it as a
       :class:`SweepItem` whose value is a structured
@@ -339,12 +313,9 @@ def iter_sweep(points: _t.Sequence[_t.Any],
     if on_error not in ("raise", "return"):
         raise ValueError(f"on_error must be 'raise' or 'return', got "
                          f"{on_error!r}")
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
+    policy = RetryPolicy(retries + 1, backoff)
     if timeout is not None and timeout <= 0:
         raise ValueError("timeout must be positive (or None)")
-    if backoff < 0:
-        raise ValueError("backoff must be non-negative")
     cfg = _config
     n_workers = cfg.workers if workers is None else workers
     use_cache = cfg.cache if cache is None else cache
@@ -393,32 +364,30 @@ def iter_sweep(points: _t.Sequence[_t.Any],
         return
     if n_workers > 1 and len(pending) > 1:
         yield from _pool_rounds(points, fn, pending, n_workers, timeout,
-                                retries, backoff, on_error, finish, fail)
+                                policy, on_error, finish, fail)
     else:
-        yield from _serial_rounds(points, fn, pending, retries, backoff,
-                                  on_error, finish, fail)
+        yield from _serial_rounds(points, fn, pending, policy, on_error,
+                                  finish, fail)
 
 
 def _serial_rounds(points: _t.List[_t.Any], fn: _t.Callable,
-                   pending: _t.List[int], retries: int, backoff: float,
+                   pending: _t.List[int], policy: RetryPolicy,
                    on_error: str, finish: _t.Callable,
                    fail: _t.Callable) -> _t.Iterator[SweepItem]:
     """Inline execution with bounded retry (no pool, no preemption —
     ``timeout`` does not apply here)."""
     for i in pending:
-        for attempt in range(retries + 1):
+        for attempt in range(1, policy.attempts + 1):
             try:
                 value = fn(points[i])
             except Exception as exc:
-                if attempt < retries:
-                    time.sleep(min(backoff * (2 ** attempt),
-                                   _MAX_BACKOFF))
+                if not policy.exhausted(attempt):
+                    time.sleep(policy.delay(attempt))
                     continue
                 if on_error == "raise":
                     raise
                 yield from fail(i, PointFailure(
-                    f"{type(exc).__name__}: {exc}", "error",
-                    attempt + 1))
+                    f"{type(exc).__name__}: {exc}", "error", attempt))
                 break
             else:
                 yield from finish(i, value)
@@ -427,14 +396,15 @@ def _serial_rounds(points: _t.List[_t.Any], fn: _t.Callable,
 
 def _pool_rounds(points: _t.List[_t.Any], fn: _t.Callable,
                  pending: _t.List[int], n_workers: int,
-                 timeout: _t.Optional[float], retries: int,
-                 backoff: float, on_error: str, finish: _t.Callable,
+                 timeout: _t.Optional[float], policy: RetryPolicy,
+                 on_error: str, finish: _t.Callable,
                  fail: _t.Callable) -> _t.Iterator[SweepItem]:
     """Pool execution in rounds: each round runs the still-pending
     points on a *fresh* pool, so a worker death (which poisons a
     :class:`~concurrent.futures.ProcessPoolExecutor`) costs one attempt
     for the in-flight points — never the results already completed, and
-    never the sweep."""
+    never the sweep.  Before round ``r + 1`` the driver waits the
+    policy's delay after ``r`` failed attempts."""
     attempts: _t.Dict[int, int] = {i: 0 for i in pending}
     failures: _t.Dict[int, PointFailure] = {}
     raisable: _t.Dict[int, BaseException] = {}
@@ -442,8 +412,7 @@ def _pool_rounds(points: _t.List[_t.Any], fn: _t.Callable,
     round_no = 0
     while todo:
         if round_no:
-            time.sleep(min(backoff * (2 ** (round_no - 1)),
-                           _MAX_BACKOFF))
+            time.sleep(policy.delay(round_no))
         round_no += 1
         width = min(n_workers, len(todo))
         from repro.fabric.store import get_cache_backend
@@ -532,7 +501,7 @@ def _pool_rounds(points: _t.List[_t.Any], fn: _t.Callable,
                           cancel_futures=True)
         todo = []
         for i in retry:
-            if attempts[i] <= retries:
+            if not policy.exhausted(attempts[i]):
                 todo.append(i)
                 continue
             failure = failures[i]

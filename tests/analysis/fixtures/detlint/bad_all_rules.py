@@ -10,7 +10,7 @@ FAST_PATH = True
 
 
 def set_fast_path(enabled):
-    # ORC001: fast-path toggle, no oracle fallback documented
+    # ORC001: module-level setter writing a global, not allowlisted
     global FAST_PATH
     prev = FAST_PATH
     FAST_PATH = bool(enabled)

@@ -22,13 +22,11 @@ def draw_victims(candidates, seed, k):
     return [pool[rng.randrange(len(pool))] for _ in range(k)]
 
 
-ACTIVE = True
+BACKEND = "file"
 
 
-def set_active(enabled):
-    """Toggle the fast path; ``False`` falls back to the bit-exact
-    oracle loop (proven identical by the golden-trace tests)."""
-    global ACTIVE
-    prev = ACTIVE
-    ACTIVE = bool(enabled)
+def set_cache_backend(name):
+    """A deployment setting: the one allowlisted global setter."""
+    global BACKEND
+    prev, BACKEND = BACKEND, name
     return prev

@@ -102,20 +102,28 @@ def test_env001_only_envflags_may_read_environ():
     assert rules_of(lint_source(getenv, "anymodule.py")) == ["ENV001"]
 
 
-def test_orc001_oracle_docstring_satisfies_the_rule():
-    toggle = textwrap.dedent("""\
+def test_orc001_flags_global_setters_off_the_allowlist():
+    setter = textwrap.dedent("""\
         FLAG = True
-        def set_flag(v):
+        def {name}(v):
             {doc}global FLAG
             prev = FLAG
-            FLAG = bool(v)
+            FLAG = v
             return prev
         """)
-    bare = toggle.format(doc="")
-    documented = toggle.format(
+    # documenting an oracle fallback no longer excuses a toggle
+    documented = setter.format(
+        name="set_flag",
         doc='"""Falls back to the bit-exact oracle loop."""\n    ')
-    assert rules_of(lint_source(bare, "m.py")) == ["ORC001"]
-    assert lint_source(documented, "m.py") == []
+    assert rules_of(lint_source(documented, "m.py")) == ["ORC001"]
+    allowed = setter.format(name="set_cache_backend", doc="")
+    assert lint_source(allowed, "m.py") == []
+    # only module-level setters that write a global are in scope
+    nested = "def outer():\n" + textwrap.indent(
+        setter.format(name="set_flag", doc=""), "    ")
+    assert lint_source(nested, "m.py") == []
+    local = "def set_flag(v):\n    flag = v\n    return flag\n"
+    assert lint_source(local, "m.py") == []
 
 
 def test_det001_sorted_wrapping_is_the_documented_remedy():

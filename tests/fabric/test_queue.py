@@ -3,7 +3,8 @@
 The queue carries the sweep driver's retry policy (attempt accounting,
 exponential backoff capped at 30 s, worker-lost attribution) into a
 durable, multi-process form; ``now=`` injection keeps every timing
-assertion deterministic.
+assertion deterministic.  The shared delay curve itself is pinned in
+``tests/perf/test_retry_policy.py``.
 """
 
 import pytest
@@ -58,7 +59,7 @@ def test_expired_lease_counts_worker_lost_and_backs_off(q):
     assert "worker-lost" in item.error
     # the backoff delay gates the next lease
     assert q.lease("w2", now=6.0) is None
-    assert q.lease("w2", now=6.0 + q._backoff_delay(1)).key == KEY
+    assert q.lease("w2", now=6.0 + q.policy.delay(1)).key == KEY
 
 
 def test_exhausted_attempts_park_as_failed(q):
@@ -125,12 +126,6 @@ def test_stats_snapshot(q, tmp_path):
     assert st.depth == 1
     assert st.as_dict()["ready"] == 1
     assert (tmp_path / QUEUE_FILENAME).is_file()
-
-
-def test_backoff_is_exponential_and_capped(q):
-    assert q._backoff_delay(1) == pytest.approx(0.5)
-    assert q._backoff_delay(3) == pytest.approx(2.0)
-    assert q._backoff_delay(50) == 30.0   # the sweep driver's cap
 
 
 def test_durability_across_handles(tmp_path):

@@ -1,14 +1,111 @@
 """CSR memoization: equal keys share one matrix, cached arrays are
-immutable, and cache hits skip reconstruction."""
+immutable, and cache hits skip reconstruction.
+
+The seed's uncached CSR builder and row-block product live here as the
+test oracles the optimized kernels are differential-tested against
+(exact equality); the library has no uncached path.
+"""
+
+import typing as _t
 
 import numpy as np
 import pytest
 
 from repro.kernels import (build_27pt, build_7pt, build_stencil_csr,
-                           clear_csr_cache, csr_cache_info,
-                           set_csr_cache_enabled, spmv_rows)
-from repro.kernels.spmv import OFFSETS_27, _build_stencil_arrays
+                           clear_csr_cache, csr_cache_info, spmv_rows)
+from repro.kernels.spmv import OFFSETS_27, CsrMatrix, _build_stencil_arrays
 from repro.kernels import spmv as spmv_mod
+
+
+def _build_stencil_arrays_reference(
+        nx: int, ny: int, nz: int, has_lower: bool, has_upper: bool,
+        offsets: _t.Tuple[_t.Tuple[int, int, int], ...],
+        diag_val: float, off_val: float) -> CsrMatrix:
+    """The seed's CSR construction, kept verbatim as a reference
+    implementation: it is the oracle the optimized builder is
+    differential-tested against.
+
+    Enumerates the grid in meshgrid order and sorts rows into canonical
+    order afterwards (``np.stack`` + ``argsort`` — the round-trip the
+    optimized builder avoids).
+    """
+    plane = nx * ny
+    n = plane * nz
+    halo_lo = plane if has_lower else 0
+    halo_hi = plane if has_upper else 0
+
+    ix = np.arange(nx)
+    iy = np.arange(ny)
+    iz = np.arange(nz)
+    X, Y, Z = np.meshgrid(ix, iy, iz, indexing="ij")
+    X = X.ravel()
+    Y = Y.ravel()
+    Z = Z.ravel()
+    row_of = (X + nx * Y + plane * Z)
+
+    cols_per_offset = []
+    valid_per_offset = []
+    vals_per_offset = []
+    for dx, dy, dz in offsets:
+        nxx, nyy, nzz = X + dx, Y + dy, Z + dz
+        valid = ((0 <= nxx) & (nxx < nx)
+                 & (0 <= nyy) & (nyy < ny))
+        below = nzz < 0
+        above = nzz >= nz
+        if has_lower:
+            z_ok = np.ones_like(valid)
+        else:
+            z_ok = ~below
+        if not has_upper:
+            z_ok = z_ok & ~above
+        valid = valid & z_ok
+        col = np.where(
+            below, nxx + nx * nyy,
+            np.where(above,
+                     halo_lo + n + nxx + nx * nyy,
+                     halo_lo + nxx + nx * nyy + plane * nzz))
+        diag = (dx == 0) and (dy == 0) and (dz == 0)
+        vals = np.where(diag, diag_val, off_val)
+        cols_per_offset.append(col)
+        valid_per_offset.append(valid)
+        vals_per_offset.append(np.broadcast_to(vals, col.shape))
+
+    cols = np.stack(cols_per_offset, axis=1)
+    valids = np.stack(valid_per_offset, axis=1)
+    vals = np.stack(vals_per_offset, axis=1)
+    counts = valids.sum(axis=1)
+    order = np.argsort(row_of, kind="stable")
+    cols = cols[order]
+    valids = valids[order]
+    vals = vals[order]
+    counts = counts[order]
+
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=row_ptr[1:])
+    flat_cols = cols[valids].astype(np.int32)
+    flat_vals = vals[valids].astype(np.float64)
+    return CsrMatrix(n_rows=n, halo_lo=halo_lo, halo_hi=halo_hi,
+                     row_ptr=row_ptr, col=flat_cols, val=flat_vals)
+
+
+def _spmv_rows_reference(matrix: CsrMatrix, x_padded: np.ndarray, lo: int,
+                         hi: int, y_block: np.ndarray) -> None:
+    """The seed's row-block product, kept verbatim: the differential
+    oracle for :func:`spmv_rows` (all boundary indices recomputed per
+    call)."""
+    start = int(matrix.row_ptr[lo])
+    stop = int(matrix.row_ptr[hi])
+    prod = matrix.val[start:stop] * x_padded[matrix.col[start:stop]]
+    counts = (matrix.row_ptr[lo + 1:hi + 1]
+              - matrix.row_ptr[lo:hi]).astype(np.int64)
+    boundaries = np.concatenate(
+        ([0], np.cumsum(counts)[:-1])).astype(np.int64)
+    if prod.size:
+        sums = np.add.reduceat(prod, boundaries)
+        sums[counts == 0] = 0.0
+    else:
+        sums = np.zeros(hi - lo)
+    np.copyto(y_block, sums)
 
 
 @pytest.fixture(autouse=True)
@@ -61,17 +158,6 @@ def test_cache_hits_skip_reconstruction():
     assert info["hits"] == 10 and info["misses"] == 1
 
 
-def test_cache_disable_builds_fresh_writable():
-    prev = set_csr_cache_enabled(False)
-    try:
-        a = build_27pt(3, 3, 3, has_lower=False, has_upper=False)
-        b = build_27pt(3, 3, 3, has_lower=False, has_upper=False)
-        assert a is not b
-        a.val[0] = 99.0  # uncached matrices stay writable
-    finally:
-        set_csr_cache_enabled(prev)
-
-
 def test_lru_evicts_oldest():
     for i in range(spmv_mod._CSR_CACHE_MAX + 1):
         build_stencil_csr(2, 2, 2, False, False, OFFSETS_27,
@@ -94,7 +180,6 @@ def test_lru_evicts_oldest():
 def test_optimized_builder_matches_seed_reference(shape, lower, upper):
     """Differential test: the restructured (no-stack/no-argsort) builder
     reproduces the seed implementation bit-for-bit."""
-    from repro.kernels.spmv import _build_stencil_arrays_reference
     for offsets, diag in ((OFFSETS_27, 27.0), (spmv_mod.OFFSETS_7, 6.0)):
         fast = _build_stencil_arrays(*shape, lower, upper,
                                      tuple(offsets), diag, -1.0)
@@ -108,7 +193,6 @@ def test_optimized_builder_matches_seed_reference(shape, lower, upper):
 def test_spmv_rows_matches_seed_reference():
     """Differential test: the block-cached product equals the seed's
     recompute-per-call implementation."""
-    from repro.kernels.spmv import _spmv_rows_reference
     m = build_27pt(4, 5, 6, has_lower=True, has_upper=False)
     rng = np.random.default_rng(7)
     x = rng.standard_normal(m.padded_len)
