@@ -6,8 +6,12 @@ under ``benchmarks/_results/``, and asserts the *shape* of the result —
 who wins, by roughly what factor — rather than absolute numbers (the
 substrate is a calibrated simulator, not the authors' testbed).
 
-Benchmarks run a full discrete-event simulation once per measurement,
-so they use ``benchmark.pedantic(rounds=1)``.
+A table that ``python -m repro.experiments`` also prints renders
+through its one declaration in ``repro.experiments``
+(``Table.render``), so both show the same title and columns; the
+paper's reference values are in each file's docstring.  Benchmarks
+call the experiments directly and time nothing: ``perfbench/`` is the
+timing harness.
 """
 
 import pathlib
@@ -19,20 +23,10 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "_results"
 
 @pytest.fixture
 def save_table():
-    """Print a result table and persist it for EXPERIMENTS.md."""
+    """Print a result table and persist it under ``_results/``."""
     def _save(name: str, text: str) -> None:
         RESULTS_DIR.mkdir(exist_ok=True)
         (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
         print(f"\n{text}")
 
     return _save
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """Run a zero-argument experiment exactly once under
-    pytest-benchmark timing."""
-    def _run(fn):
-        return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-    return _run

@@ -8,17 +8,13 @@ copy-at-receive of Algorithm 1 (LAZY) and the atomic-buffered
 alternative (ATOMIC) and verify cost parity on GTC.
 """
 
-from repro.analysis import format_table
 from repro.experiments import copy_strategy_comparison
+from repro.experiments.ablations import COPY_STRATEGY_TABLE
 
 
-def test_copy_strategies_have_similar_cost(run_once, save_table):
-    rows = run_once(copy_strategy_comparison)
-    table = format_table(
-        ["strategy", "GTC time (ms)", "relative to best"],
-        [[r.value, r.time * 1e3, r.efficiency] for r in rows],
-        title="inout copy-strategy ablation (paper: 'similar cost')")
-    save_table("ablation_copy_strategy", table)
+def test_copy_strategies_have_similar_cost(save_table):
+    rows = copy_strategy_comparison()
+    save_table("ablation_copy_strategy", COPY_STRATEGY_TABLE.render(rows))
 
     times = [r.time for r in rows]
     # §III-B2's parity claim: all strategies within 10% of each other

@@ -12,16 +12,12 @@ import repro
 from repro.analysis import fixed_resource_efficiency, format_table
 from repro.apps.hpccg import KernelBenchConfig, hpccg_kernel_bench
 from repro.experiments import granularity_sweep, scenario_for
+from repro.experiments.ablations import GRANULARITY_TABLE
 
 
-def test_granularity_sweep_sparsemv(run_once, save_table):
-    rows = run_once(lambda: granularity_sweep(
-        task_counts=(1, 2, 4, 8, 16, 32, 64)))
-    table = format_table(
-        ["tasks/section", "time (ms)", "intra efficiency"],
-        [[r.value, r.time * 1e3, r.efficiency] for r in rows],
-        title="Granularity ablation, sparsemv (paper default: 8)")
-    save_table("ablation_granularity_spmv", table)
+def test_granularity_sweep_sparsemv(save_table):
+    rows = granularity_sweep(task_counts=(1, 2, 4, 8, 16, 32, 64))
+    save_table("ablation_granularity_spmv", GRANULARITY_TABLE.render(rows))
 
     eff = {r.value: r.efficiency for r in rows}
     # 1 task per section: no work sharing possible beyond 1-vs-1 split
@@ -31,8 +27,7 @@ def test_granularity_sweep_sparsemv(run_once, save_table):
     assert eff[8] > max(eff.values()) - 0.05
 
 
-def test_granularity_sweep_ddot_shows_sync_overhead(run_once,
-                                                    save_table):
+def test_granularity_sweep_ddot_shows_sync_overhead(save_table):
     """ddot's tiny per-task compute makes the per-task synchronization
     overhead visible: efficiency *degrades* beyond the sweet spot."""
     def sweep():
@@ -51,7 +46,7 @@ def test_granularity_sweep_ddot_shows_sync_overhead(run_once,
                 t_native, intra.timers["ddot"])))
         return out
 
-    rows = run_once(sweep)
+    rows = sweep()
     table = format_table(["tasks/section", "intra efficiency"],
                          [[nt, e] for nt, e in rows],
                          title="Granularity ablation, ddot")

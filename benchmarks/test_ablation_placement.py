@@ -7,18 +7,13 @@ distance-sensitive topology, pushing replicas apart degrades intra
 efficiency — quantifying one side of that trade-off.
 """
 
-from repro.analysis import format_table
 from repro.experiments import placement_sweep
+from repro.experiments.ablations import PLACEMENT_TABLE
 
 
-def test_placement_spread(run_once, save_table):
-    rows = run_once(lambda: placement_sweep(spreads=(1, 4, 16)))
-    table = format_table(
-        ["replica spread (nodes)", "ddot time (ms)",
-         "intra efficiency"],
-        [[r.value, r.time * 1e3, r.efficiency] for r in rows],
-        title="Replica placement ablation (linear topology, 2 us/hop)")
-    save_table("ablation_placement", table)
+def test_placement_spread(save_table):
+    rows = placement_sweep(spreads=(1, 4, 16))
+    save_table("ablation_placement", PLACEMENT_TABLE.render(rows))
 
     eff = {r.value: r.efficiency for r in rows}
     # neighbouring replicas (the paper's choice) are the best placement

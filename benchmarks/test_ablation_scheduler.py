@@ -6,18 +6,13 @@ imbalance".  On a deliberately imbalanced section, the alternatives we
 implemented show exactly that headroom.
 """
 
-from repro.analysis import format_table
 from repro.experiments import scheduler_comparison
+from repro.experiments.ablations import SCHEDULER_TABLE
 
 
-def test_scheduler_comparison(run_once, save_table):
-    rows = run_once(scheduler_comparison)
-    table = format_table(
-        ["scheduler", "section time (ms)", "relative to best"],
-        [[r.value, r.time * 1e3, r.efficiency] for r in rows],
-        title="Scheduler ablation on an imbalanced section "
-              "(task i costs ~ i+1)")
-    save_table("ablation_scheduler", table)
+def test_scheduler_comparison(save_table):
+    rows = scheduler_comparison()
+    save_table("ablation_scheduler", SCHEDULER_TABLE.render(rows))
 
     by = {r.value: r for r in rows}
     # cost-balanced wins on imbalanced workloads...

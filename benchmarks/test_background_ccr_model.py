@@ -8,20 +8,13 @@ survives ~sqrt(N) failures) stays pinned just under its resource cap —
 which is exactly the 50%-wall intra-parallelization then breaks.
 """
 
-from repro.analysis import format_table
 from repro.experiments import ccr_vs_replication, crossover_point
+from repro.experiments.background import CCR_TABLE
 
 
-def test_ccr_vs_replication_crossover(run_once, save_table):
-    rows = run_once(ccr_vs_replication)
-    table = format_table(
-        ["processes", "system MTBF (h)", "cCR efficiency",
-         "replication efficiency"],
-        [[r.n_procs, r.system_mtbf_hours, r.ccr_efficiency,
-          r.replication_efficiency] for r in rows],
-        title="Background model — cCR vs replication+rare-cCR "
-              "(5 y/node MTBF, 15 min checkpoints)")
-    save_table("background_ccr", table)
+def test_ccr_vs_replication_crossover(save_table):
+    rows = ccr_vs_replication()
+    save_table("background_ccr", CCR_TABLE.render(rows))
 
     # small machine: cCR wins comfortably
     assert rows[0].ccr_efficiency > 0.8

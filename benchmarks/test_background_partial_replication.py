@@ -13,13 +13,10 @@ DELTA = RESTART = 900.0
 FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def test_partial_replication_bathtub(run_once, save_table):
-    def sweep():
-        return {n: partial_replication_sweep(n, NODE_MTBF, DELTA,
-                                             RESTART, FRACTIONS)
-                for n in (10_000, 100_000, 1_000_000)}
-
-    data = run_once(sweep)
+def test_partial_replication_bathtub(save_table):
+    data = {n: partial_replication_sweep(n, NODE_MTBF, DELTA, RESTART,
+                                         FRACTIONS)
+            for n in (10_000, 100_000, 1_000_000)}
     rows = []
     for n, pts in data.items():
         rows.append([f"{n:,}"] + [e for _f, e in pts])

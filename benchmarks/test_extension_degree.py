@@ -7,20 +7,13 @@ but every executed task must ship its update to d−1 siblings, so the
 update traffic grows linearly with the degree and eats the gain.
 """
 
-from repro.analysis import format_table
 from repro.experiments import degree_sweep
+from repro.experiments.extensions import DEGREE_TABLE
 
 
-def test_degree_sweep(run_once, save_table):
-    rows = run_once(lambda: degree_sweep(degrees=(1, 2, 3)))
-    table = format_table(
-        ["replication degree", "time (ms)", "efficiency",
-         "update KB/replica"],
-        [[r.degree, r.time * 1e3, r.efficiency, r.update_bytes / 1e3]
-         for r in rows],
-        title="Intra-parallelization vs replication degree "
-              "(fixed physical resources)")
-    save_table("extension_degree", table)
+def test_degree_sweep(save_table):
+    rows = degree_sweep(degrees=(1, 2, 3))
+    save_table("extension_degree", DEGREE_TABLE.render(rows))
 
     by = {r.degree: r for r in rows}
     # degree 1 is the native baseline

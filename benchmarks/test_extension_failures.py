@@ -7,21 +7,13 @@ quantify that: the earlier a replica dies, the longer the survivor runs
 alone and the closer application efficiency falls to the SDR floor.
 """
 
-from repro.analysis import format_table
 from repro.experiments import failure_time_sweep
+from repro.experiments.extensions import FAILURE_TIME_TABLE
 
 
-def test_failure_time_sweep(run_once, save_table):
-    rows = run_once(lambda: failure_time_sweep(
-        fractions=(0.1, 0.5, 0.9)))
-    table = format_table(
-        ["crash at (frac of run)", "time (ms)", "efficiency",
-         "tasks re-executed"],
-        [["none" if r.crash_fraction < 0 else r.crash_fraction,
-          r.time * 1e3, r.efficiency, r.reexecuted] for r in rows],
-        title="HPCCG intra efficiency vs crash time "
-              "(§VI: restart replicas quickly)")
-    save_table("extension_failure_sweep", table)
+def test_failure_time_sweep(save_table):
+    rows = failure_time_sweep(fractions=(0.1, 0.5, 0.9))
+    save_table("extension_failure_sweep", FAILURE_TIME_TABLE.render(rows))
 
     clean = rows[0]
     by_frac = {r.crash_fraction: r for r in rows[1:]}

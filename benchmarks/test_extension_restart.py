@@ -87,14 +87,10 @@ def run_without_restart(crash=True):
     return world.sim.now, job
 
 
-def test_restart_recovers_intra_efficiency(run_once, save_table):
-    def experiment():
-        t_clean, _restarts, _ = run_with_restart(crash=False)
-        t_norestart, _ = run_without_restart(crash=True)
-        t_restart, restarts, job = run_with_restart(crash=True)
-        return t_clean, t_norestart, t_restart, restarts, job
-
-    t_clean, t_norestart, t_restart, restarts, job = run_once(experiment)
+def test_restart_recovers_intra_efficiency(save_table):
+    t_clean, _restarts, _ = run_with_restart(crash=False)
+    t_norestart, _ = run_without_restart(crash=True)
+    t_restart, restarts, job = run_with_restart(crash=True)
     table = format_table(
         ["scenario", "time (ms)", "slowdown vs clean"],
         [["no crash", t_clean * 1e3, 1.0],

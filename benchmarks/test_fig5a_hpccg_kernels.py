@@ -6,20 +6,13 @@ every kernel; intra 0.34 (waxpby — *worse* than plain replication),
 ("intra updates") dominates the waxpby intra bar.
 """
 
-from repro.analysis import format_table
 from repro.experiments import fig5a
+from repro.experiments.fig5 import FIG5A_TABLE
 
 
-def test_fig5a_hpccg_kernels(run_once, save_table):
-    rows = run_once(lambda: fig5a(n_logical=8))
-    table = format_table(
-        ["kernel", "mode", "time (ms)", "normalized", "efficiency",
-         "exposed updates (ms)"],
-        [[r.kernel, r.mode, r.time * 1e3, r.normalized, r.efficiency,
-          r.exposed_update_time * 1e3] for r in rows],
-        title="Figure 5a — HPCCG kernels (paper: SDR 0.5 everywhere; "
-              "intra waxpby 0.34 / ddot 0.99 / sparsemv 0.94)")
-    save_table("fig5a", table)
+def test_fig5a_hpccg_kernels(save_table):
+    rows = fig5a(n_logical=8)
+    save_table("fig5a", FIG5A_TABLE.render(rows))
 
     by = {(r.kernel, r.mode): r for r in rows}
     # SDR-MPI: the 50% wall on every kernel

@@ -5,19 +5,13 @@ intra (applied to ddot + sparsemv only) holds ~0.8 (0.80/0.79/0.82) —
 flat across scale, the paper's scalability evidence.
 """
 
-from repro.analysis import format_table
 from repro.experiments import fig5b
+from repro.experiments.fig5 import FIG5B_TABLE
 
 
-def test_fig5b_hpccg_weak_scaling(run_once, save_table):
-    rows = run_once(lambda: fig5b(process_counts=(8, 16, 32)))
-    table = format_table(
-        ["physical procs", "mode", "time (ms)", "efficiency"],
-        [[r.physical_processes, r.mode, r.time * 1e3, r.efficiency]
-         for r in rows],
-        title="Figure 5b — HPCCG weak scaling (paper: SDR 0.5; intra "
-              "0.80/0.79/0.82)")
-    save_table("fig5b", table)
+def test_fig5b_hpccg_weak_scaling(save_table):
+    rows = fig5b(process_counts=(8, 16, 32))
+    save_table("fig5b", FIG5B_TABLE.render(rows))
 
     sdr = [r for r in rows if r.mode == "SDR-MPI"]
     intra = [r for r in rows if r.mode == "intra"]

@@ -8,20 +8,13 @@ proportionally higher (≈ 0.74); the SDR floor and the
 sections-fraction→efficiency relation are preserved.
 """
 
-from repro.analysis import format_table
 from repro.experiments import fig6a
+from repro.experiments.fig6 import FIG6_TABLES
 
 
-def test_fig6a_amg_pcg(run_once, save_table):
-    rows = run_once(fig6a)
-    table = format_table(
-        ["app", "mode", "procs", "time (ms)", "efficiency",
-         "sections frac"],
-        [[r.app, r.mode, r.physical_processes, r.time * 1e3,
-          r.efficiency, r.sections_fraction] for r in rows],
-        title="Figure 6a — AMG2013-like PCG 27pt (paper: SDR 0.48, "
-              "intra 0.61, sections 62%)")
-    save_table("fig6a", table)
+def test_fig6a_amg_pcg(save_table):
+    rows = fig6a()
+    save_table("fig6a", FIG6_TABLES["fig6a"].render(rows))
 
     by = {r.mode: r for r in rows}
     assert abs(by["SDR-MPI"].efficiency - 0.5) < 0.04

@@ -6,20 +6,13 @@ and GMRES adds orthogonalization work, so the intra gain is smaller
 than Figure 6a — both in the paper and here.
 """
 
-from repro.analysis import format_table
 from repro.experiments import fig6a, fig6b
+from repro.experiments.fig6 import FIG6_TABLES
 
 
-def test_fig6b_amg_gmres(run_once, save_table):
-    rows = run_once(fig6b)
-    table = format_table(
-        ["app", "mode", "procs", "time (ms)", "efficiency",
-         "sections frac"],
-        [[r.app, r.mode, r.physical_processes, r.time * 1e3,
-          r.efficiency, r.sections_fraction] for r in rows],
-        title="Figure 6b — AMG2013-like GMRES 7pt (paper: SDR 0.49, "
-              "intra 0.59, sections 42%)")
-    save_table("fig6b", table)
+def test_fig6b_amg_gmres(save_table):
+    rows = fig6b()
+    save_table("fig6b", FIG6_TABLES["fig6b"].render(rows))
 
     by = {r.mode: r for r in rows}
     assert abs(by["SDR-MPI"].efficiency - 0.5) < 0.04
@@ -30,15 +23,12 @@ def test_fig6b_amg_gmres(run_once, save_table):
     assert by["Open MPI"].sections_fraction < 0.65
 
 
-def test_fig6b_gmres_gains_less_than_pcg(run_once, save_table):
+def test_fig6b_gmres_gains_less_than_pcg(save_table):
     """Cross-figure shape: the 7-pt GMRES problem benefits less from
     intra-parallelization than the 27-pt PCG problem (0.59 < 0.61 in
     the paper; the gap is wider here for the same reason the fractions
     differ)."""
-    def both():
-        return fig6a(), fig6b()
-
-    rows_a, rows_b = run_once(both)
+    rows_a, rows_b = fig6a(), fig6b()
     eff_a = {r.mode: r.efficiency for r in rows_a}["intra"]
     eff_b = {r.mode: r.efficiency for r in rows_b}["intra"]
     save_table("fig6ab_gap",

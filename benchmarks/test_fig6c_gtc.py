@@ -5,20 +5,13 @@ Paper (256 native / 512 replicated): SDR 0.49, intra 0.71; charge+push
 the `inout` extra copy adds ≈ 6% on the affected tasks.
 """
 
-from repro.analysis import format_table
 from repro.experiments import fig6c, inout_overhead
+from repro.experiments.fig6 import FIG6_TABLES
 
 
-def test_fig6c_gtc(run_once, save_table):
-    rows = run_once(fig6c)
-    table = format_table(
-        ["app", "mode", "procs", "time (ms)", "efficiency",
-         "sections frac"],
-        [[r.app, r.mode, r.physical_processes, r.time * 1e3,
-          r.efficiency, r.sections_fraction] for r in rows],
-        title="Figure 6c — GTC (paper: SDR 0.49, intra 0.71, "
-              "charge+push = 75%)")
-    save_table("fig6c", table)
+def test_fig6c_gtc(save_table):
+    rows = fig6c()
+    save_table("fig6c", FIG6_TABLES["fig6c"].render(rows))
 
     by = {r.mode: r for r in rows}
     assert abs(by["SDR-MPI"].efficiency - 0.5) < 0.04
@@ -28,10 +21,10 @@ def test_fig6c_gtc(run_once, save_table):
     assert by["intra"].time < by["SDR-MPI"].time
 
 
-def test_fig6c_inout_copy_overhead(run_once, save_table):
+def test_fig6c_inout_copy_overhead(save_table):
     """The extra-copy cost of declaring positions/velocities inout
     (paper: ≈ 6% on the affected tasks)."""
-    frac = run_once(inout_overhead)
+    frac = inout_overhead()
     save_table("fig6c_inout",
                f"inout extra-copy overhead on affected tasks: "
                f"{frac * 100:.1f}% (paper: ~6%)")

@@ -5,20 +5,14 @@ intra-parallelization, leaving only the grid summation (~10% of
 runtime), so the gain over plain replication is marginal.
 """
 
-from repro.analysis import format_table
 from repro.experiments import fig6d, minighost_stencil_ablation
+from repro.experiments.ablations import MINIGHOST_STENCIL_TABLE
+from repro.experiments.fig6 import FIG6_TABLES
 
 
-def test_fig6d_minighost(run_once, save_table):
-    rows = run_once(fig6d)
-    table = format_table(
-        ["app", "mode", "procs", "time (ms)", "efficiency",
-         "sections frac"],
-        [[r.app, r.mode, r.physical_processes, r.time * 1e3,
-          r.efficiency, r.sections_fraction] for r in rows],
-        title="Figure 6d — MiniGhost (paper: SDR 0.49, intra 0.51, "
-              "sections ~10%)")
-    save_table("fig6d", table)
+def test_fig6d_minighost(save_table):
+    rows = fig6d()
+    save_table("fig6d", FIG6_TABLES["fig6d"].render(rows))
 
     by = {r.mode: r for r in rows}
     assert abs(by["SDR-MPI"].efficiency - 0.5) < 0.04
@@ -28,17 +22,13 @@ def test_fig6d_minighost(run_once, save_table):
     assert by["Open MPI"].sections_fraction < 0.25
 
 
-def test_fig6d_stencil_in_section_does_not_pay(run_once, save_table):
+def test_fig6d_stencil_in_section_does_not_pay(save_table):
     """§V-D's negative result: forcing the 27-pt stencil into sections
     gives 'around the same' or worse performance, because the output is
     a full new 3D grid."""
-    rows = run_once(minighost_stencil_ablation)
-    table = format_table(
-        ["stencil in section", "time (ms)", "efficiency"],
-        [[r.value, r.time * 1e3, r.efficiency] for r in rows],
-        title="MiniGhost stencil ablation (paper: not applied — "
-              "'performance around the same as without')")
-    save_table("fig6d_stencil_ablation", table)
+    rows = minighost_stencil_ablation()
+    save_table("fig6d_stencil_ablation",
+               MINIGHOST_STENCIL_TABLE.render(rows))
 
     without, with_stencil = rows[0], rows[1]
     # no meaningful gain from intra-parallelizing the stencil

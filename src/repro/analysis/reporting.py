@@ -1,4 +1,4 @@
-"""Result tables for the benchmark harness (EXPERIMENTS.md source).
+"""Fixed-width result tables for the experiment CLI and benchmarks.
 
 :func:`format_table` renders any row list; :func:`results_table`
 renders a :class:`repro.results.ResultSet` directly from its flat

@@ -32,11 +32,16 @@ turns runs machine-readable: experiment names render their table rows
 (flat records tagged with experiment + table), scenario names a
 :class:`repro.results.ResultSet` (``csv`` is run-only).
 
-Tables print to stdout in the same layout the benchmark harness saves
-under ``benchmarks/_results/``.  Sweep points fan out over ``--workers``
-processes and results are memoized under ``.perf_cache/`` keyed by
-scenario hashes (disable with ``--no-cache``; delete the directory or
-bump ``repro.perf.CACHE_VERSION`` after model changes).
+Each experiment table is declared once, next to its row dataclass
+(a :class:`~repro.experiments.common.Table` grouped into an
+:class:`~repro.experiments.common.Experiment`); the human tables, the
+JSON/CSV records and the benchmark printouts under
+``benchmarks/_results/`` all render from that declaration.
+
+Sweep points fan out over ``--workers`` processes and results are
+memoized under ``.perf_cache/`` keyed by scenario hashes (disable with
+``--no-cache``; delete the directory or bump
+``repro.perf.CACHE_VERSION`` after model changes).
 """
 
 from __future__ import annotations
@@ -53,137 +58,21 @@ import typing as _t
 from ..analysis import format_table
 from ..api import sweep as api_sweep
 from ..perf import configure
-from ..results import ResultSet
+from ..results import ResultSet, RunResult
 from ..scenarios import (GRID_PREFIX, Scenario, get_entry, grid_entries,
-                         parse_override, scenario_entries,
-                         scenario_names, suggest_names,
+                         parse_override, scenario_entries, suggest_names,
                          UnknownScenarioError)
-from . import (ccr_vs_replication, copy_strategy_comparison, degree_sweep,
-               failure_time_sweep, fig5a, fig5b, fig6a, fig6b, fig6c,
-               fig6d, granularity_sweep, minighost_stencil_ablation,
-               placement_sweep, poisson_failure_rows,
-               scheduler_comparison)
-from . import background as _bg
-from .ablations import DESCRIPTION as _ABLATIONS_DESC
-from .extensions import DESCRIPTION as _EXTENSIONS_DESC
-from .fig5 import DESCRIPTION_5A, DESCRIPTION_5B
-from .fig6 import DESCRIPTIONS as _FIG6_DESCS
+from . import ablations, background, extensions, fig5, fig6
+from .common import Experiment
 
 Overrides = _t.Mapping[str, _t.Any]
 
-
-def _fig5a(overrides: Overrides) -> str:
-    rows = fig5a(overrides=overrides)
-    return format_table(
-        ["kernel", "mode", "time (ms)", "normalized", "efficiency",
-         "exposed updates (ms)"],
-        [[r.kernel, r.mode, r.time * 1e3, r.normalized, r.efficiency,
-          r.exposed_update_time * 1e3] for r in rows],
-        title="Figure 5a — HPCCG kernels")
-
-
-def _fig5b(overrides: Overrides) -> str:
-    rows = fig5b(overrides=overrides)
-    return format_table(
-        ["physical procs", "mode", "time (ms)", "efficiency"],
-        [[r.physical_processes, r.mode, r.time * 1e3, r.efficiency]
-         for r in rows],
-        title="Figure 5b — HPCCG weak scaling")
-
-
-def _fig6(fn, label: str):
-    def render(overrides: Overrides) -> str:
-        rows = fn(overrides=overrides)
-        return format_table(
-            ["app", "mode", "procs", "time (ms)", "efficiency",
-             "sections frac"],
-            [[r.app, r.mode, r.physical_processes, r.time * 1e3,
-              r.efficiency, r.sections_fraction] for r in rows],
-            title=label)
-    return render
-
-
-def _ablations(overrides: Overrides) -> str:
-    if overrides:
-        raise ValueError("--set overrides are not supported for the "
-                         "ablation batch; run its scenarios "
-                         "individually (see --list)")
-    parts = []
-    parts.append(format_table(
-        ["tasks/section", "intra efficiency"],
-        [[r.value, r.efficiency] for r in granularity_sweep()],
-        title="Ablation — task granularity (sparsemv)"))
-    parts.append(format_table(
-        ["scheduler", "time (ms)", "relative"],
-        [[r.value, r.time * 1e3, r.efficiency]
-         for r in scheduler_comparison()],
-        title="Ablation — scheduler under imbalance"))
-    parts.append(format_table(
-        ["replica spread", "efficiency"],
-        [[r.value, r.efficiency] for r in placement_sweep()],
-        title="Ablation — replica placement"))
-    parts.append(format_table(
-        ["copy strategy", "time (ms)", "relative"],
-        [[r.value, r.time * 1e3, r.efficiency]
-         for r in copy_strategy_comparison()],
-        title="Ablation — inout protection strategy"))
-    parts.append(format_table(
-        ["stencil in section", "efficiency"],
-        [[r.value, r.efficiency]
-         for r in minighost_stencil_ablation()],
-        title="Ablation — MiniGhost stencil in sections"))
-    return "\n\n".join(parts)
-
-
-def _background(overrides: Overrides) -> str:
-    rows = ccr_vs_replication(**_bg.apply_overrides(overrides))
-    return format_table(
-        ["processes", "system MTBF (h)", "cCR", "replication"],
-        [[r.n_procs, r.system_mtbf_hours, r.ccr_efficiency,
-          r.replication_efficiency] for r in rows],
-        title="Background — cCR vs replication (§II)")
-
-
-def _extensions(overrides: Overrides) -> str:
-    if overrides:
-        raise ValueError("--set overrides are not supported for the "
-                         "extension batch; run its scenarios "
-                         "individually (see --list)")
-    parts = []
-    parts.append(format_table(
-        ["crash at", "time (ms)", "efficiency", "re-executed"],
-        [["none" if r.crash_fraction < 0 else r.crash_fraction,
-          r.time * 1e3, r.efficiency, r.reexecuted]
-         for r in failure_time_sweep()],
-        title="Extension — efficiency vs crash time"))
-    parts.append(format_table(
-        ["degree", "time (ms)", "efficiency", "update KB"],
-        [[r.degree, r.time * 1e3, r.efficiency, r.update_bytes / 1e3]
-         for r in degree_sweep()],
-        title="Extension — replication degree sweep"))
-    parts.append(format_table(
-        ["mode", "time (ms)", "crashes", "crash times (ms)"],
-        [[r.mode, r.time * 1e3, r.crashes,
-          ", ".join(f"{t * 1e3:.3f}" for t in r.crash_times) or "-"]
-         for r in poisson_failure_rows()],
-        title="Extension — seeded Poisson failures (deterministic)"))
-    return "\n\n".join(parts)
-
-
-EXPERIMENTS: _t.Dict[str, _t.Tuple[_t.Callable[[Overrides], str], str]] = {
-    "fig5a": (_fig5a, DESCRIPTION_5A),
-    "fig5b": (_fig5b, DESCRIPTION_5B),
-    "fig6a": (_fig6(fig6a, "Figure 6a — AMG PCG 27pt"),
-              _FIG6_DESCS["fig6a"]),
-    "fig6b": (_fig6(fig6b, "Figure 6b — AMG GMRES 7pt"),
-              _FIG6_DESCS["fig6b"]),
-    "fig6c": (_fig6(fig6c, "Figure 6c — GTC"), _FIG6_DESCS["fig6c"]),
-    "fig6d": (_fig6(fig6d, "Figure 6d — MiniGhost"),
-              _FIG6_DESCS["fig6d"]),
-    "ablations": (_ablations, _ABLATIONS_DESC),
-    "background": (_background, _bg.DESCRIPTION),
-    "extensions": (_extensions, _EXTENSIONS_DESC),
-}
+#: every experiment by name, in the default run order; each declares
+#: its tables once, next to their row dataclasses
+EXPERIMENTS: _t.Dict[str, Experiment] = {
+    experiment.name: experiment
+    for module in (fig5, fig6, ablations, background, extensions)
+    for experiment in module.EXPERIMENTS}
 
 
 class _ListingError(ValueError):
@@ -271,7 +160,7 @@ def _render_listing(patterns: _t.Sequence[str] = (),
     if fmt == "json":
         payload = (
             [{"kind": "experiment", "name": n,
-              "description": EXPERIMENTS[n][1]} for n in exp_names]
+              "description": EXPERIMENTS[n].description} for n in exp_names]
             + [{"kind": "scenario", "name": e.name,
                 "description": e.description or e.scenario.summary(),
                 "scenario": e.scenario.to_dict()} for e in entries])
@@ -291,7 +180,7 @@ def _render_listing(patterns: _t.Sequence[str] = (),
     lines = []
     if exp_names:
         lines.append("experiments:")
-        lines += [f"  {n:24s} {EXPERIMENTS[n][1]}" for n in exp_names]
+        lines += [f"  {n:24s} {EXPERIMENTS[n].description}" for n in exp_names]
         lines.append("")
     lines.append(f"registered scenarios ({len(entries)}):")
     for entry in entries:
@@ -317,57 +206,29 @@ def _render_listing(patterns: _t.Sequence[str] = (),
     return "\n".join(lines)
 
 
+def _run_table(run: RunResult, title: str) -> str:
+    """The field/value table of one scenario run."""
+    rows = [["mode", run.mode],
+            ["wall time (ms)", run.wall_time * 1e3],
+            ["crashes", len(run.crashes) or "-"]]
+    rows += [[f"timer:{k} (ms)", v * 1e3]
+             for k, v in sorted(run.timers.items())]
+    return format_table(["field", "value"], rows, title=title)
+
+
 def _run_single_scenario(name: str, overrides: Overrides) -> str:
     entry = get_entry(name)
     scenario = entry.scenario.with_overrides(overrides)
     # through the facade sweep, so --workers/--no-cache apply and the
     # result shares the scenario-hash cache with the figure sweeps
     run, = api_sweep([scenario])
-    rows = [["mode", run.mode],
-            ["wall time (ms)", run.wall_time * 1e3],
-            ["crashes", len(run.crashes) or "-"]]
-    rows += [[f"timer:{k} (ms)", v * 1e3]
-             for k, v in sorted(run.timers.items())]
-    return format_table(["field", "value"], rows,
-                        title=f"{name} — {scenario.summary()}")
+    return _run_table(run, f"{name} — {scenario.summary()}")
 
 
-#: rows-providers behind ``--format json|csv`` on whole experiments:
-#: experiment name -> list of (table label, row-dataclass list) pairs.
-#: The same row objects feed the human tables, so both formats always
-#: agree; composite experiments contribute one labelled block per table.
-def _experiment_tables(name: str, overrides: Overrides
-                       ) -> _t.List[_t.Tuple[str, _t.List[_t.Any]]]:
-    if name == "fig5a":
-        return [("fig5a", fig5a(overrides=overrides))]
-    if name == "fig5b":
-        return [("fig5b", fig5b(overrides=overrides))]
-    if name in ("fig6a", "fig6b", "fig6c", "fig6d"):
-        fn = {"fig6a": fig6a, "fig6b": fig6b, "fig6c": fig6c,
-              "fig6d": fig6d}[name]
-        return [(name, fn(overrides=overrides))]
-    if name == "background":
-        return [("ccr_vs_replication",
-                 ccr_vs_replication(**_bg.apply_overrides(overrides)))]
-    if name == "ablations":
-        if overrides:
-            raise ValueError("--set overrides are not supported for "
-                             "the ablation batch; run its scenarios "
-                             "individually (see --list)")
-        return [("granularity", granularity_sweep()),
-                ("scheduler", scheduler_comparison()),
-                ("placement", placement_sweep()),
-                ("copy_strategy", copy_strategy_comparison()),
-                ("minighost_stencil", minighost_stencil_ablation())]
-    if name == "extensions":
-        if overrides:
-            raise ValueError("--set overrides are not supported for "
-                             "the extension batch; run its scenarios "
-                             "individually (see --list)")
-        return [("failure_time", failure_time_sweep()),
-                ("degree", degree_sweep()),
-                ("poisson", poisson_failure_rows())]
-    raise KeyError(name)
+def _render_experiment(name: str, overrides: Overrides) -> str:
+    """An experiment's tables, blank-line separated."""
+    return "\n\n".join(table.render(rows) for table, rows
+                       in EXPERIMENTS[name].results(overrides))
 
 
 def _experiment_records(name: str, overrides: Overrides
@@ -375,10 +236,10 @@ def _experiment_records(name: str, overrides: Overrides
     """One flat dict per experiment-table row, tagged with the
     experiment and table it belongs to."""
     records = []
-    for table, rows in _experiment_tables(name, overrides):
+    for table, rows in EXPERIMENTS[name].results(overrides):
         for row in rows:
             rec: _t.Dict[str, _t.Any] = {"experiment": name,
-                                         "table": table}
+                                         "table": table.label}
             rec.update(dataclasses.asdict(row))
             records.append(rec)
     return records
@@ -542,13 +403,7 @@ def main(argv: _t.Optional[_t.Sequence[str]] = None) -> int:
             print(results.to_csv())
         else:
             run, = results
-            rows = [["mode", run.mode],
-                    ["wall time (ms)", run.wall_time * 1e3],
-                    ["crashes", len(run.crashes) or "-"]]
-            rows += [[f"timer:{k} (ms)", v * 1e3]
-                     for k, v in sorted(run.timers.items())]
-            print(format_table(["field", "value"], rows,
-                               title=f"inline — {scenario.summary()}"))
+            print(_run_table(run, f"inline — {scenario.summary()}"))
         return 0
 
     if not names:
@@ -593,7 +448,7 @@ def main(argv: _t.Optional[_t.Sequence[str]] = None) -> int:
     for name in names:
         if name in EXPERIMENTS:
             try:
-                print(EXPERIMENTS[name][0](overrides))
+                print(_render_experiment(name, overrides))
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2

@@ -29,6 +29,7 @@ from ..intra import CopyStrategy, Tag
 from ..api import run as _run, sweep as _sweep
 from ..netmodel import GRID5000_NETWORK
 from ..scenarios import Scenario, register_scenario
+from .common import Experiment, Table, ms
 
 DESCRIPTION = "Ablations — granularity, scheduler, placement, copies"
 
@@ -203,6 +204,35 @@ def inout_overhead(n_logical: int = 4) -> float:
     compute = run.intra.get("task_compute_time", 0.0)
     copy = run.intra.get("copy_time", 0.0)
     return copy / compute if compute else 0.0
+
+
+GRANULARITY_TABLE = Table(
+    "granularity", "Ablation — task granularity (sparsemv)",
+    (("tasks/section", "value"), ("intra efficiency", "efficiency")),
+    granularity_sweep)
+SCHEDULER_TABLE = Table(
+    "scheduler", "Ablation — scheduler under imbalance",
+    (("scheduler", "value"), ("time (ms)", ms("time")),
+     ("relative", "efficiency")),
+    scheduler_comparison)
+PLACEMENT_TABLE = Table(
+    "placement", "Ablation — replica placement",
+    (("replica spread", "value"), ("efficiency", "efficiency")),
+    placement_sweep)
+COPY_STRATEGY_TABLE = Table(
+    "copy_strategy", "Ablation — inout protection strategy",
+    (("copy strategy", "value"), ("time (ms)", ms("time")),
+     ("relative", "efficiency")),
+    copy_strategy_comparison)
+MINIGHOST_STENCIL_TABLE = Table(
+    "minighost_stencil", "Ablation — MiniGhost stencil in sections",
+    (("stencil in section", "value"), ("efficiency", "efficiency")),
+    minighost_stencil_ablation)
+EXPERIMENTS = (Experiment(
+    "ablations", DESCRIPTION,
+    (GRANULARITY_TABLE, SCHEDULER_TABLE, PLACEMENT_TABLE,
+     COPY_STRATEGY_TABLE, MINIGHOST_STENCIL_TABLE),
+    overridable=False),)
 
 
 def _register_defaults() -> None:

@@ -13,16 +13,13 @@ import dataclasses
 import typing as _t
 
 from ..analysis import plain_ccr_efficiency, replicated_ccr_efficiency
-from ..perf import run_sweep
+from .common import Experiment, Table
 
 DESCRIPTION = "Background — cCR vs replication efficiency model (§II)"
 
 #: the analytic model's knobs, overridable from the CLI
 #: (``--set node_mtbf_years=3``); this study has no machine/program, so
-#: it is parameterized directly rather than through Scenario specs —
-#: accordingly it rides :func:`repro.perf.run_sweep` below the
-#: :mod:`repro.api` facade (no scenario, no RunResult; the rows are
-#: its own :class:`BackgroundRow` model values)
+#: it is parameterized directly rather than through Scenario specs
 OVERRIDABLE = ("proc_counts", "node_mtbf_years", "checkpoint_minutes",
                "restart_minutes")
 
@@ -52,9 +49,9 @@ class BackgroundRow:
     replication_efficiency: float
 
 
-def _ccr_point(point: _t.Tuple[int, float, float, float]) -> BackgroundRow:
-    """Sweep point: one machine size of the cCR-vs-replication model."""
-    n, node_mtbf, delta, restart = point
+def _ccr_point(n: int, node_mtbf: float, delta: float,
+               restart: float) -> BackgroundRow:
+    """One machine size of the cCR-vs-replication model."""
     return BackgroundRow(
         n_procs=n,
         system_mtbf_hours=node_mtbf / n / 3600.0,
@@ -74,9 +71,12 @@ def ccr_vs_replication(
     node_mtbf = node_mtbf_years * 365.0 * 24 * 3600
     delta = checkpoint_minutes * 60
     restart = restart_minutes * 60
-    return run_sweep([(n, node_mtbf, delta, restart)
-                      for n in proc_counts],
-                     _ccr_point, tag="ccr_vs_replication")
+    return [_ccr_point(n, node_mtbf, delta, restart) for n in proc_counts]
+
+
+def _ccr_rows(overrides: _t.Optional[_t.Mapping[str, _t.Any]] = None
+              ) -> _t.List[BackgroundRow]:
+    return ccr_vs_replication(**apply_overrides(overrides))
 
 
 def crossover_point(rows: _t.Sequence[BackgroundRow]) -> _t.Optional[int]:
@@ -85,3 +85,11 @@ def crossover_point(rows: _t.Sequence[BackgroundRow]) -> _t.Optional[int]:
         if row.replication_efficiency > row.ccr_efficiency:
             return row.n_procs
     return None
+
+
+CCR_TABLE = Table(
+    "ccr_vs_replication", "Background — cCR vs replication (§II)",
+    (("processes", "n_procs"), ("system MTBF (h)", "system_mtbf_hours"),
+     ("cCR", "ccr_efficiency"), ("replication", "replication_efficiency")),
+    _ccr_rows)
+EXPERIMENTS = (Experiment("background", DESCRIPTION, (CCR_TABLE,)),)

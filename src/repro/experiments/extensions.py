@@ -33,6 +33,7 @@ from ..apps.hpccg import HpccgConfig
 from ..api import sweep as _sweep
 from ..scenarios import (FixedFailures, PoissonFailures, Scenario,
                          register_scenario)
+from .common import Experiment, Table, ms
 
 DESCRIPTION = ("Extensions — crash timing, replication degree, "
                "seeded Poisson failures")
@@ -176,6 +177,30 @@ def poisson_failure_rows(n_logical: int = 4) -> _t.List[PoissonRow]:
     return [PoissonRow(run.mode, run.wall_time, len(run.crashes),
                        tuple(ev.time for ev in run.crashes))
             for run in runs]
+
+
+FAILURE_TIME_TABLE = Table(
+    "failure_time", "Extension — efficiency vs crash time",
+    (("crash at",
+      lambda r: "none" if r.crash_fraction < 0 else r.crash_fraction),
+     ("time (ms)", ms("time")), ("efficiency", "efficiency"),
+     ("re-executed", "reexecuted")),
+    failure_time_sweep)
+DEGREE_TABLE = Table(
+    "degree", "Extension — replication degree sweep",
+    (("degree", "degree"), ("time (ms)", ms("time")),
+     ("efficiency", "efficiency"),
+     ("update KB", lambda r: r.update_bytes / 1e3)),
+    degree_sweep)
+POISSON_TABLE = Table(
+    "poisson", "Extension — seeded Poisson failures (deterministic)",
+    (("mode", "mode"), ("time (ms)", ms("time")), ("crashes", "crashes"),
+     ("crash times (ms)",
+      lambda r: ", ".join(f"{t * 1e3:.3f}" for t in r.crash_times) or "-")),
+    poisson_failure_rows)
+EXPERIMENTS = (Experiment(
+    "extensions", DESCRIPTION,
+    (FAILURE_TIME_TABLE, DEGREE_TABLE, POISSON_TABLE), overridable=False),)
 
 
 def _register_defaults() -> None:

@@ -19,10 +19,10 @@ from ..api import sweep as _sweep
 from ..apps.hpccg import HpccgConfig, KernelBenchConfig
 from ..analysis import fixed_resource_efficiency, normalized_time
 from ..scenarios import Scenario, baseline_overrides, register_scenario
+from .common import MODE_LABELS, Experiment, Table, ms, three_mode_rows
 
 KERNELS = ("waxpby", "ddot", "spmv")
 MODES = ("native", "sdr", "intra")
-_LABELS = {"native": "Open MPI", "sdr": "SDR-MPI", "intra": "intra"}
 
 DESCRIPTION_5A = "Figure 5a — HPCCG kernels (per-kernel efficiency)"
 DESCRIPTION_5B = "Figure 5b — HPCCG weak scaling (full application)"
@@ -80,7 +80,7 @@ def fig5a(n_logical: int = 8,
             t = run.timers[kernel]
             rows.append(Fig5aRow(
                 kernel=kernel if kernel != "spmv" else "sparsemv",
-                mode=_LABELS[run.mode], time=t,
+                mode=MODE_LABELS[run.mode], time=t,
                 normalized=normalized_time(t_native, t),
                 efficiency=fixed_resource_efficiency(t_native, t),
                 exposed_update_time=(run.intra.get("exposed_update_time",
@@ -140,16 +140,25 @@ def fig5b(process_counts: _t.Sequence[int] = (8, 16, 32),
     """
     process_counts = tuple(process_counts)
     runs = _sweep(fig5b_scenarios(process_counts, base, overrides))
-    rows: _t.List[Fig5bRow] = []
-    for p_idx, procs in enumerate(process_counts):
-        native, sdr, intra = runs[3 * p_idx:3 * p_idx + 3]
-        rows.append(Fig5bRow(procs, "Open MPI", native.wall_time, 1.0))
-        for run, label in ((sdr, "SDR-MPI"), (intra, "intra")):
-            rows.append(Fig5bRow(
-                procs, label, run.wall_time,
-                fixed_resource_efficiency(native.wall_time,
-                                          run.wall_time)))
-    return rows
+    return [Fig5bRow(procs, **row)
+            for p_idx, procs in enumerate(process_counts)
+            for row in three_mode_rows(*runs[3 * p_idx:3 * p_idx + 3],
+                                       convention="fixed")]
+
+
+FIG5A_TABLE = Table(
+    "fig5a", "Figure 5a — HPCCG kernels",
+    (("kernel", "kernel"), ("mode", "mode"), ("time (ms)", ms("time")),
+     ("normalized", "normalized"), ("efficiency", "efficiency"),
+     ("exposed updates (ms)", ms("exposed_update_time"))),
+    fig5a)
+FIG5B_TABLE = Table(
+    "fig5b", "Figure 5b — HPCCG weak scaling",
+    (("physical procs", "physical_processes"), ("mode", "mode"),
+     ("time (ms)", ms("time")), ("efficiency", "efficiency")),
+    fig5b)
+EXPERIMENTS = (Experiment("fig5a", DESCRIPTION_5A, (FIG5A_TABLE,)),
+               Experiment("fig5b", DESCRIPTION_5B, (FIG5B_TABLE,)))
 
 
 def _register_defaults() -> None:

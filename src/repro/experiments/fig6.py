@@ -18,12 +18,12 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from ..analysis import doubled_resource_efficiency
 from ..api import sweep as _sweep
 from ..apps.amg import AmgConfig
 from ..apps.gtc import GtcConfig
 from ..apps.minighost import MiniGhostConfig
 from ..scenarios import Scenario, baseline_overrides, register_scenario
+from .common import Experiment, Table, ms, three_mode_rows
 
 #: timer regions that correspond to intra-parallelized code per app
 SECTION_REGIONS = {
@@ -71,14 +71,11 @@ def _run_app(app: str, n_logical: int, config: _t.Any,
     section_time = sum(native.timers.get(r, 0.0)
                        for r in SECTION_REGIONS[app])
     frac = section_time / native.wall_time if native.wall_time else 0.0
-    rows = [Fig6Row(app, "Open MPI", n_logical, native.wall_time, 1.0,
-                    frac)]
-    for run, label in ((sdr, "SDR-MPI"), (intra, "intra")):
-        rows.append(Fig6Row(
-            app, label, 2 * n_logical, run.wall_time,
-            doubled_resource_efficiency(native.wall_time, run.wall_time),
-            frac))
-    return rows
+    return [Fig6Row(app, physical_processes=procs, sections_fraction=frac,
+                    **row)
+            for procs, row in zip(
+                (n_logical, 2 * n_logical, 2 * n_logical),
+                three_mode_rows(native, sdr, intra, convention="doubled"))]
 
 
 _DEFAULTS: _t.Dict[str, _t.Tuple[str, _t.Any]] = {
@@ -123,6 +120,21 @@ def fig6d(n_logical: int = 8,
     intra-parallelizable)."""
     return _run_app("minighost", n_logical,
                     config or _DEFAULTS["fig6d"][1], overrides)
+
+
+FIG6_TABLES = {
+    fig: Table(fig, title,
+               (("app", "app"), ("mode", "mode"),
+                ("procs", "physical_processes"), ("time (ms)", ms("time")),
+                ("efficiency", "efficiency"),
+                ("sections frac", "sections_fraction")),
+               fn)
+    for fig, title, fn in (("fig6a", "Figure 6a — AMG PCG 27pt", fig6a),
+                           ("fig6b", "Figure 6b — AMG GMRES 7pt", fig6b),
+                           ("fig6c", "Figure 6c — GTC", fig6c),
+                           ("fig6d", "Figure 6d — MiniGhost", fig6d))}
+EXPERIMENTS = tuple(Experiment(fig, DESCRIPTIONS[fig], (table,))
+                    for fig, table in FIG6_TABLES.items())
 
 
 def _register_defaults() -> None:
