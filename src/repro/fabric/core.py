@@ -88,29 +88,36 @@ class Fabric:
         ``*.corrupt``; sqlite: the ``corrupt`` table), warn, and report
         a miss — exactly the sweep driver's contract, so a poisoned
         entry recomputes instead of crashing the fabric."""
+        mode_run, problem = self._read_result(key)
+        if problem is not None:
+            warnings.warn(problem, RuntimeWarning, stacklevel=2)
+        return mode_run
+
+    def _read_result(self, key: str
+                     ) -> _t.Tuple[_t.Optional[_t.Any], _t.Optional[str]]:
+        """:meth:`load_result` without the warning: ``(mode_run,
+        problem)``, where ``problem`` says why a present entry was
+        treated as a miss.  The result service reports through this
+        instead of the process-global warning filters."""
         try:
             data = self.store.get(key)
         except Exception as exc:  # noqa: BLE001 — a broken store read
             # must degrade to a miss, never take down a sweep/service
-            warnings.warn(
-                f"fabric store read failed for {key[:12]}… "
-                f"({type(exc).__name__}: {exc}); treating as a miss",
-                RuntimeWarning, stacklevel=2)
-            return None
+            return None, (f"fabric store read failed for {key[:12]}… "
+                          f"({type(exc).__name__}: {exc}); treating as "
+                          f"a miss")
         if data is None:
-            return None
+            return None, None
         try:
-            return pickle.loads(data)
+            return pickle.loads(data), None
         except Exception as exc:  # noqa: BLE001 — corrupt pickles raise
             # nearly anything; quarantine + miss, same as the sweep
             where = self.store.quarantine(
                 key, f"{type(exc).__name__}: {exc}")
             note = f"; entry quarantined to {where}" if where else ""
-            warnings.warn(
-                f"ignoring corrupt fabric store entry {key[:12]}… "
-                f"({type(exc).__name__}: {exc}){note}; the point will "
-                f"recompute", RuntimeWarning, stacklevel=2)
-            return None
+            return None, (f"ignoring corrupt fabric store entry "
+                          f"{key[:12]}… ({type(exc).__name__}: {exc})"
+                          f"{note}; the point will recompute")
 
     def put_result(self, key: str, mode_run: _t.Any) -> None:
         """Store one computed result — the exact bytes the serial sweep
@@ -134,6 +141,8 @@ class Fabric:
                 "queue": self.queue.stats().as_dict()}
 
     def close(self) -> None:
+        """Close every store and queue connection, on any thread; the
+        next use reopens them."""
         self.store.close()
         self.queue.close()
 

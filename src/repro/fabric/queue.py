@@ -26,8 +26,8 @@ mode) holds two tables:
     holds payload bytes; the scenario rides here).
 
 Every mutation is one SQLite transaction, so any number of workers,
-sweeps and service threads can share a queue file; per-thread
-connections keep the threaded result service safe.
+sweeps and service threads can share a queue file; each thread keeps
+its own connection (:class:`~repro.fabric.store.SqliteConnections`).
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 import sqlite3
-import threading
 import time
 import typing as _t
 
 from ..perf.retry import RetryPolicy
+from .store import SqliteConnections
 
 __all__ = ["Lease", "QueueStats", "WorkQueue", "QUEUE_FILENAME",
            "STATES"]
@@ -120,24 +120,17 @@ class WorkQueue:
             path = path / QUEUE_FILENAME
         self.path = path
         self.policy = RetryPolicy(max_attempts, backoff)
-        self._local = threading.local()
+        self._conns = SqliteConnections(path, _SCHEMA)
 
     def _conn(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(self.path, timeout=30.0)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.executescript(_SCHEMA)
-            conn.commit()
-            self._local.conn = conn
-        return conn
+        return _t.cast(sqlite3.Connection, self._conns.get())
 
     # ------------------------------------------------------------ write
     def record_scenario(self, key: str, scenario_json: str) -> None:
         """Bind ``key`` ↔ scenario JSON (idempotent) without queueing
         work — how warm hits become servable by ``/result/<key>``."""
+        if self.scenario_for(key) is not None:
+            return  # bound already: no write transaction
         conn = self._conn()
         with conn:
             conn.execute(
@@ -302,10 +295,8 @@ class WorkQueue:
         return removed
 
     def close(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
+        """Close every connection this queue opened, on any thread."""
+        self._conns.close()
 
     def __enter__(self) -> "WorkQueue":
         return self

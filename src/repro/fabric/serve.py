@@ -1,14 +1,15 @@
 """The fabric result service: cached simulations over HTTP.
 
 ``python -m repro.fabric.serve --root DIR`` exposes one fabric root
-(stdlib :class:`~http.server.ThreadingHTTPServer`; no third-party
-dependencies) so results can be *served* instead of recomputed:
+(stdlib :class:`~http.server.HTTPServer` plus a fixed pool of handler
+threads; no third-party dependencies) so results can be *served*
+instead of recomputed:
 
 ``GET /healthz``
     200 liveness probe.
 ``GET /stats``
-    200 — service hit/miss counters plus the store and queue
-    snapshots.
+    200 — service hit/miss counters, the warm-body memo's ``entries``
+    and ``hits``, plus the store and queue snapshots.
 ``GET /result/<cache_key>``
     200 with the lossless :class:`~repro.results.RunResult` JSON on a
     warm hit; 202 (and an enqueue for the workers) when the key is
@@ -25,31 +26,51 @@ through :meth:`~repro.results.RunResult.from_json`, which is what
 never simulates anything itself — cold points go on the durable queue
 for ``python -m repro.fabric.worker`` daemons, keeping request latency
 flat no matter how expensive the scenario is.
+
+A warm hit costs one indexed store probe and one socket write: each
+handler thread keeps its SQLite connections for its whole life, and
+the encoded 200 body of every key served warm is memoized (a key's
+result is content-addressed, so its body never changes).  Before a
+memo hit the handler checks that the key is still in the store; a
+deleted or quarantined key leaves the memo and answers 202 like any
+cold key.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import pathlib
+import queue
+import socket
 import sys
 import threading
 import typing as _t
 import urllib.parse
-import warnings
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from .core import Fabric
 
 __all__ = ["FabricServer", "main", "make_server"]
 
+#: handler threads: requests are short GIL-bound work, so a few keep
+#: the cores busy even while some wait on slow sockets
+HANDLER_THREADS = 8
+#: warm 200 bodies kept by the memo: more keys than a figure's sweep
+#: asks for, yet under 1 MB at the ~1.3 kB a RunResult body takes
+MEMO_ENTRIES = 256
+#: seconds a handler waits on a silent client before dropping it, so a
+#: stalled connection cannot pin one of the few handler threads
+READ_TIMEOUT_S = 10.0
 
-class FabricServer(ThreadingHTTPServer):
-    """One fabric root behind HTTP; handler threads share the fabric
-    (per-thread SQLite connections underneath) and the hit/miss
-    counters."""
+_Request = _t.Tuple[socket.socket, _t.Any]
 
-    daemon_threads = True
+
+class FabricServer(HTTPServer):
+    """One fabric root behind HTTP, served by a fixed pool of
+    :data:`HANDLER_THREADS` handler threads that share the fabric, the
+    hit/miss counters and the memo of warm response bodies."""
 
     def __init__(self, address: _t.Tuple[str, int], fabric: Fabric, *,
                  quiet: bool = True) -> None:
@@ -58,14 +79,81 @@ class FabricServer(ThreadingHTTPServer):
         self.quiet = quiet
         self.hits = 0
         self.misses = 0
-        self._counter_lock = threading.Lock()
+        self.memo_hits = 0
+        # guards the counters and the memo
+        self._lock = threading.Lock()
+        # cache key → encoded 200 body, least recently served first
+        self._memo: "collections.OrderedDict[str, bytes]" = (
+            collections.OrderedDict())
+        self._requests: "queue.SimpleQueue[_t.Optional[_Request]]" = (
+            queue.SimpleQueue())
+        self._workers = [
+            threading.Thread(target=self._work, daemon=True,
+                             name=f"fabric-handler-{i}")
+            for i in range(HANDLER_THREADS)]
+        for worker in self._workers:
+            worker.start()
 
-    def count(self, hit: bool) -> None:
-        with self._counter_lock:
+    # ------------------------------------------------------ handler pool
+    def process_request(self, request: _t.Any,
+                        client_address: _t.Any) -> None:
+        self._requests.put((request, client_address))
+
+    def _work(self) -> None:
+        while True:
+            item = self._requests.get()
+            if item is None:
+                return
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:  # noqa: BLE001 — log it, keep the worker
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening, let the handler threads finish the requests
+        already accepted, then close the fabric's connections (the
+        fabric stays usable: they reopen on next use)."""
+        super().server_close()
+        workers, self._workers = self._workers, []
+        for _ in workers:
+            self._requests.put(None)
+        for worker in workers:
+            worker.join()
+        self.fabric.close()
+
+    # ------------------------------------------------- counters and memo
+    def count(self, hit: bool, memo: bool = False) -> None:
+        with self._lock:
             if hit:
                 self.hits += 1
+                self.memo_hits += memo
             else:
                 self.misses += 1
+
+    def memo_get(self, key: str) -> _t.Optional[bytes]:
+        with self._lock:
+            body = self._memo.get(key)
+            if body is not None:
+                self._memo.move_to_end(key)
+            return body
+
+    def memo_put(self, key: str, body: bytes) -> None:
+        with self._lock:
+            self._memo[key] = body
+            self._memo.move_to_end(key)
+            if len(self._memo) > MEMO_ENTRIES:
+                self._memo.popitem(last=False)
+
+    def memo_drop(self, key: str) -> None:
+        with self._lock:
+            self._memo.pop(key, None)
+
+    def memo_stats(self) -> _t.Dict[str, int]:
+        with self._lock:
+            return {"entries": len(self._memo), "hits": self.memo_hits}
 
     @property
     def url(self) -> str:
@@ -75,6 +163,7 @@ class FabricServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     server: FabricServer  # narrowed — we are only ever FabricServer's
+    timeout = READ_TIMEOUT_S
 
     # ------------------------------------------------------------ plumbing
     def log_message(self, fmt: str, *args: _t.Any) -> None:
@@ -83,16 +172,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, payload: _t.Mapping[str, _t.Any]
                    ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(
+            status, json.dumps(payload, sort_keys=True).encode("utf-8"))
 
-    def _send_result_json(self, text: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(200)
+    def _send_body(self, status: int, body: bytes) -> None:
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -129,25 +213,44 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, {
             "hits": self.server.hits,
             "misses": self.server.misses,
+            "memo": self.server.memo_stats(),
             **fabric.stats()})
+
+    def _send_memo(self, key: str) -> bool:
+        """Answer from the memo if ``key`` is still in the store; a key
+        gone from the store (deleted, quarantined) leaves the memo and
+        takes the cold path."""
+        body = self.server.memo_get(key)
+        if body is None:
+            return False
+        if not self.server.fabric.store.has(key):
+            self.server.memo_drop(key)
+            return False
+        self.server.count(hit=True, memo=True)
+        self._send_body(200, body)
+        return True
 
     def _serve_key(self, key: str, scenario_json: str) -> None:
         """Common tail of both routes: warm → 200 RunResult JSON, cold
         → enqueue + 202."""
         fabric = self.server.fabric
-        with warnings.catch_warnings():
-            # corrupt-entry quarantine warns; a service has no console
-            # to warn to — the 202 + recompute IS the handling
-            warnings.simplefilter("ignore", RuntimeWarning)
-            mode_run = fabric.load_result(key)
+        mode_run, problem = fabric._read_result(key)
+        if problem is not None:
+            # an unreadable entry (quarantined if corrupt) is a miss:
+            # the 202 + recompute below is the handling, the log says why
+            self.log_message("%s", problem)
         if mode_run is not None:
             from ..results import RunResult
             from ..scenarios.spec import Scenario
             scenario = Scenario.from_json(scenario_json)
-            result = RunResult.from_mode_run(
-                mode_run, scenario, cache_key=key, cache_hit=True)
+            body = RunResult.from_mode_run(
+                mode_run, scenario, cache_key=key,
+                cache_hit=True).to_json().encode("utf-8")
+            # the key's result is content-addressed: this body is what
+            # every later warm hit on it would build again
+            self.server.memo_put(key, body)
             self.server.count(hit=True)
-            return self._send_result_json(result.to_json())
+            return self._send_body(200, body)
         fabric.queue.enqueue(key, scenario_json)
         self.server.count(hit=False)
         self._send_json(202, {
@@ -156,6 +259,8 @@ class _Handler(BaseHTTPRequestHandler):
                     "poll again"})
 
     def _do_result(self, key: str) -> None:
+        if self._send_memo(key):
+            return
         fabric = self.server.fabric
         scenario_json = fabric.queue.scenario_for(key)
         if scenario_json is None:
@@ -177,13 +282,18 @@ class _Handler(BaseHTTPRequestHandler):
                 "error": f"unknown scenario {name!r}",
                 "suggestions": list(getattr(exc, "suggestions", ()))})
         fabric = self.server.fabric
-        key = fabric.record_scenario(scenario)
-        self._serve_key(key, scenario.to_json())
+        key = fabric.key_for(scenario)
+        if self._send_memo(key):
+            return  # a memoized key was bound when it was first served
+        scenario_json = scenario.to_json()
+        fabric.queue.record_scenario(key, scenario_json)
+        self._serve_key(key, scenario_json)
 
 
 def make_server(fabric: Fabric, host: str = "127.0.0.1",
                 port: int = 0, *, quiet: bool = True) -> FabricServer:
-    """Bind (``port=0`` → ephemeral) but do not serve; callers run
+    """Bind (``port=0`` → ephemeral) and start the handler threads,
+    but do not serve; callers run
     :meth:`~socketserver.BaseServer.serve_forever` on a thread of
     their choosing and ``shutdown()``/``server_close()`` when done."""
     return FabricServer((host, port), fabric, quiet=quiet)

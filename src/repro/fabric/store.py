@@ -42,6 +42,7 @@ import sqlite3
 import threading
 import time
 import typing as _t
+import weakref
 
 from .._envflags import env_choice as _env_choice
 
@@ -327,6 +328,63 @@ class FileStore(ResultStore):
 
 
 # -------------------------------------------------------- sqlite store
+class _Connection(sqlite3.Connection):
+    """A plain connection that, unlike ``sqlite3.Connection``, can be
+    weakly referenced."""
+
+
+class SqliteConnections:
+    """One SQLite connection per thread for one database file.
+
+    A thread opens its connection (WAL journal, ``synchronous=NORMAL``,
+    ``schema`` applied) on first use and keeps it, so a long-lived
+    thread — a result-service handler, a worker daemon — pays the open
+    once.  :meth:`close` closes every connection still open, whichever
+    thread opened it; the next use from any thread opens a fresh one.
+    A thread that ends drops its connection with it.
+    """
+
+    def __init__(self, path: pathlib.Path, schema: str) -> None:
+        self.path = path
+        self._schema = schema
+        self._local = threading.local()
+        self._open: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
+        self._lock = threading.Lock()
+
+    def get(self, create: bool = True) -> _t.Optional[sqlite3.Connection]:
+        """This thread's connection; ``create=False`` answers ``None``
+        instead of creating a missing database file."""
+        conn: _t.Optional[sqlite3.Connection] = getattr(
+            self._local, "conn", None)
+        if conn is None and (create or self.path.is_file()):
+            conn = self._connect()
+        return conn
+
+    def _connect(self) -> sqlite3.Connection:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        # only this thread runs statements on it; check_same_thread is
+        # off so that close() may close it from another thread
+        conn = sqlite3.connect(self.path, timeout=30.0,
+                               check_same_thread=False, factory=_Connection)
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        conn.executescript(self._schema)
+        conn.commit()
+        with self._lock:
+            self._open.add(conn)
+            self._local.conn = conn
+        return conn
+
+    def close(self) -> None:
+        """Close every open connection (idempotent)."""
+        with self._lock:
+            conns = list(self._open)
+            self._open.clear()
+            self._local = threading.local()
+        for conn in conns:
+            conn.close()
+
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS results (
     key        TEXT PRIMARY KEY,
@@ -368,27 +426,10 @@ class SqliteStore(ResultStore):
         else:
             self.root = root
             self.db_path = root / SQLITE_FILENAME
-        self._local = threading.local()
-
-    # each thread gets its own connection (sqlite3 connections are not
-    # thread-safe; the result service runs one handler per thread)
-    def _conn(self, create: bool = True) -> _t.Optional[sqlite3.Connection]:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            return conn
-        if not create and not self.db_path.is_file():
-            return None
-        self.db_path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(self.db_path, timeout=30.0)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.executescript(_SCHEMA)
-        conn.commit()
-        self._local.conn = conn
-        return conn
+        self._conns = SqliteConnections(self.db_path, _SCHEMA)
 
     def get(self, key: str) -> _t.Optional[bytes]:
-        conn = self._conn(create=False)
+        conn = self._conns.get(create=False)
         if conn is None:
             return None
         row = conn.execute(
@@ -396,7 +437,7 @@ class SqliteStore(ResultStore):
         return None if row is None else bytes(row[0])
 
     def put(self, key: str, data: bytes) -> None:
-        conn = self._conn()
+        conn = self._conns.get()
         assert conn is not None
         with conn:
             conn.execute(
@@ -407,14 +448,14 @@ class SqliteStore(ResultStore):
                  time.time()))
 
     def has(self, key: str) -> bool:
-        conn = self._conn(create=False)
+        conn = self._conns.get(create=False)
         if conn is None:
             return False
         return conn.execute("SELECT 1 FROM results WHERE key = ?",
                             (key,)).fetchone() is not None
 
     def delete(self, key: str) -> bool:
-        conn = self._conn(create=False)
+        conn = self._conns.get(create=False)
         if conn is None:
             return False
         with conn:
@@ -423,7 +464,7 @@ class SqliteStore(ResultStore):
         return cur.rowcount > 0
 
     def iter_keys(self) -> _t.Iterator[str]:
-        conn = self._conn(create=False)
+        conn = self._conns.get(create=False)
         if conn is None:
             return iter(())
         rows = conn.execute(
@@ -431,7 +472,7 @@ class SqliteStore(ResultStore):
         return iter(r[0] for r in rows)
 
     def stats(self) -> StoreStats:
-        conn = self._conn(create=False)
+        conn = self._conns.get(create=False)
         if conn is None:
             return StoreStats(self.backend, str(self.db_path), 0, 0, 0)
         entries, total = conn.execute(
@@ -442,7 +483,7 @@ class SqliteStore(ResultStore):
                           total, corrupt)
 
     def quarantine(self, key: str, reason: str) -> _t.Optional[str]:
-        conn = self._conn(create=False)
+        conn = self._conns.get(create=False)
         if conn is None:
             return None
         try:
@@ -465,14 +506,14 @@ class SqliteStore(ResultStore):
     def corrupt_rows(self) -> _t.List[_t.Tuple[str, str]]:
         """(key, reason) of every quarantined row, oldest first — the
         post-mortem listing (``cache stats`` shows the count)."""
-        conn = self._conn(create=False)
+        conn = self._conns.get(create=False)
         if conn is None:
             return []
         return [(k, r) for k, r in conn.execute(
             "SELECT key, reason FROM corrupt ORDER BY quarantined_at")]
 
     def clear(self) -> int:
-        conn = self._conn(create=False)
+        conn = self._conns.get(create=False)
         if conn is None:
             return 0
         with conn:
@@ -483,7 +524,7 @@ class SqliteStore(ResultStore):
         return removed
 
     def prune(self) -> int:
-        conn = self._conn(create=False)
+        conn = self._conns.get(create=False)
         if conn is None:
             return 0
         with conn:
@@ -493,7 +534,7 @@ class SqliteStore(ResultStore):
         return removed
 
     def verify(self) -> _t.List[_t.Tuple[str, str]]:
-        conn = self._conn(create=False)
+        conn = self._conns.get(create=False)
         if conn is None:
             return []
         problems: _t.List[_t.Tuple[str, str]] = []
@@ -507,10 +548,7 @@ class SqliteStore(ResultStore):
         return problems
 
     def close(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
+        self._conns.close()
 
 
 _STORE_TYPES: _t.Dict[str, _t.Type[ResultStore]] = {

@@ -7,6 +7,9 @@ assertion deterministic.  The shared delay curve itself is pinned in
 ``tests/perf/test_retry_policy.py``.
 """
 
+import sqlite3
+import threading
+
 import pytest
 
 from repro.fabric.queue import QUEUE_FILENAME, WorkQueue
@@ -117,6 +120,42 @@ def test_record_scenario_without_enqueue(q):
     q.record_scenario(KEY, SCEN)
     assert q.scenario_for(KEY) == SCEN
     assert q.stats().depth == 0
+
+
+def test_record_scenario_writes_only_a_missing_binding(q):
+    statements = []
+    q._conn().set_trace_callback(statements.append)
+    q.record_scenario(KEY, SCEN)
+    assert [s for s in statements if s.startswith("INSERT")]
+    statements.clear()
+    q.record_scenario(KEY, SCEN)
+    assert statements
+    assert not [s for s in statements if s.startswith(("INSERT", "BEGIN"))]
+
+
+def test_close_closes_connections_of_live_threads(q):
+    q.enqueue(KEY, SCEN)
+    conns, opened, release = [], threading.Event(), threading.Event()
+
+    def reader():
+        assert q.scenario_for(KEY) == SCEN
+        conns.append(q._conn())
+        opened.set()
+        release.wait(10.0)
+
+    t = threading.Thread(target=reader)
+    t.start()
+    try:
+        assert opened.wait(10.0)
+        conns.append(q._conn())
+        q.close()
+        for conn in conns:
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                conn.total_changes
+    finally:
+        release.set()
+        t.join()
+    assert q.stats().ready == 1            # the next use reopens
 
 
 def test_stats_snapshot(q, tmp_path):

@@ -7,6 +7,7 @@ only where the bytes live differs.
 
 import pickle
 import sqlite3
+import threading
 import warnings
 
 import pytest
@@ -138,6 +139,33 @@ def test_sqlite_read_ops_do_not_create_the_db(tmp_path):
     assert s.get(KEY_A) is None
     assert s.stats().entries == 0
     assert not (tmp_path / SQLITE_FILENAME).exists()
+    s.close()
+
+
+def test_sqlite_close_closes_connections_of_live_threads(tmp_path):
+    s = SqliteStore(tmp_path)
+    s.put(KEY_A, b"a")
+    conns, opened, release = [], threading.Event(), threading.Event()
+
+    def reader():
+        assert s.get(KEY_A) == b"a"
+        conns.append(s._conns.get())
+        opened.set()
+        release.wait(10.0)
+
+    t = threading.Thread(target=reader)
+    t.start()
+    try:
+        assert opened.wait(10.0)
+        conns.append(s._conns.get())
+        s.close()
+        for conn in conns:
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                conn.total_changes
+    finally:
+        release.set()
+        t.join()
+    assert s.get(KEY_A) == b"a"            # the next use reopens
     s.close()
 
 

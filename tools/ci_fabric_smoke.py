@@ -4,8 +4,11 @@ Boots the production daemons — ``python -m repro.fabric.worker`` and
 ``python -m repro.fabric.serve`` — against a temporary SQLite-backed
 fabric root, sweeps a small scenario grid through :class:`FabricClient`,
 and asserts every served ``RunResult`` is JSON-identical to a warm
-serial sweep of the same points.  Exit 0 on parity, 1 on any mismatch
-or timeout.
+serial sweep of the same points.  It then loads the service from
+several client threads at once, mixing ``/result`` and ``/scenario``
+requests while one raw connection sits idle: every body must equal the
+warm serial JSON byte for byte.  Last, the service must exit within
+10 s of SIGTERM.  Exit 0 on parity, 1 on any mismatch or timeout.
 
 Run locally:  ``PYTHONPATH=src python tools/ci_fabric_smoke.py``
 """
@@ -16,7 +19,10 @@ import socket
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+import urllib.parse
+import urllib.request
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -28,6 +34,9 @@ NAMES = ["example:hpccg:native", "example:hpccg:sdr",
          "example:hpccg:intra", "example:waxpby:native"]
 BOOT_TIMEOUT_S = 30.0
 SWEEP_TIMEOUT_S = 300.0
+CLIENTS = 4
+REQUESTS_PER_CLIENT = 25
+EXIT_TIMEOUT_S = 10.0
 
 
 def _free_port() -> int:
@@ -42,6 +51,36 @@ def _spawn(module: str, *args: str) -> subprocess.Popen:
                          + env.get("PYTHONPATH", ""))
     return subprocess.Popen([sys.executable, "-m", module, *args],
                             env=env)
+
+
+def _concurrent_mismatches(url: str, points: list) -> list:
+    """Send CLIENTS threads of REQUESTS_PER_CLIENT requests each, mixing
+    ``/result/<key>`` and ``/scenario/<name>`` over ``points`` (name,
+    key, expected body); returns a description of every reply that is
+    not 200 with the expected body."""
+    bad: list = []
+
+    def client(c: int) -> None:
+        for i in range(REQUESTS_PER_CLIENT):
+            name, key, want = points[(c + i) % len(points)]
+            path = (f"/result/{key}" if (c + i) % 2 else
+                    "/scenario/" + urllib.parse.quote(name, safe=""))
+            try:
+                with urllib.request.urlopen(url + path,
+                                            timeout=30.0) as resp:
+                    status, body = resp.status, resp.read()
+            except OSError as exc:
+                status, body = 0, repr(exc).encode()
+            if status != 200 or body != want:
+                bad.append(f"GET {path}: status {status}")
+
+    threads = [threading.Thread(target=client, args=(c,))
+               for c in range(CLIENTS)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return bad
 
 
 def main() -> int:
@@ -79,15 +118,39 @@ def main() -> int:
                           file=sys.stderr)
                     return 1
 
-            stats = client.stats()
+            with socket.create_connection(("127.0.0.1", port)):
+                # the idle connection holds a handler until it times out
+                bad = _concurrent_mismatches(
+                    f"http://127.0.0.1:{port}",
+                    [(name, r.cache_key, r.to_json().encode("utf-8"))
+                     for name, r in zip(NAMES, warm)])
+                if bad:
+                    print(f"FAIL: {len(bad)} concurrent request(s) did "
+                          f"not return the warm serial JSON, e.g. "
+                          f"{bad[0]}", file=sys.stderr)
+                    return 1
+                stats = client.stats()
+                serve.terminate()
+                try:
+                    serve.wait(timeout=EXIT_TIMEOUT_S)
+                except subprocess.TimeoutExpired:
+                    print(f"FAIL: service still running "
+                          f"{EXIT_TIMEOUT_S:.0f} s after SIGTERM",
+                          file=sys.stderr)
+                    return 1
+
             print(f"fabric smoke OK: {len(served)} point(s) served "
-                  f"with serial parity "
+                  f"with serial parity, "
+                  f"{CLIENTS * REQUESTS_PER_CLIENT} concurrent request(s) "
+                  f"byte-identical "
                   f"(store entries: {stats['store']['entries']}, "
-                  f"queue done: {stats['queue']['done']})")
+                  f"queue done: {stats['queue']['done']}, "
+                  f"memo hits: {stats['memo']['hits']})")
             return 0
         finally:
             for proc in (worker, serve):
-                proc.terminate()
+                if proc.poll() is None:
+                    proc.terminate()
             for proc in (worker, serve):
                 try:
                     proc.wait(timeout=10.0)
