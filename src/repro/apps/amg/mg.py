@@ -46,14 +46,20 @@ class MgHierarchy:
 
 
 def extract_diagonal(m: CsrMatrix) -> np.ndarray:
-    """Diagonal of a halo-padded CSR matrix (diag column = halo_lo+row)."""
-    diag = np.zeros(m.n_rows)
-    for r in range(m.n_rows):
-        lo, hi = int(m.row_ptr[r]), int(m.row_ptr[r + 1])
-        cols = m.col[lo:hi]
-        hit = np.nonzero(cols == m.halo_lo + r)[0]
-        if hit.size:
-            diag[r] = m.val[lo + int(hit[0])]
+    """Diagonal of a halo-padded CSR matrix (diag column = halo_lo+row).
+
+    A row's first entry in the diagonal column wins; a row without one
+    reads 0.  One vectorized pass over the nonzeros: each nonzero gets
+    its row number, and the hits are already in row order.
+    """
+    n = m.n_rows
+    rows = np.repeat(np.arange(n), np.diff(m.row_ptr))
+    hits = np.flatnonzero(m.col == m.halo_lo + rows)
+    hit_rows = rows[hits]
+    first = np.ones(hits.size, dtype=bool)
+    np.not_equal(hit_rows[1:], hit_rows[:-1], out=first[1:])
+    diag = np.zeros(n)
+    diag[hit_rows[first]] = m.val[hits[first]]
     return diag
 
 

@@ -43,6 +43,7 @@ import collections
 import json
 import pathlib
 import queue
+import signal
 import socket
 import sys
 import threading
@@ -87,6 +88,11 @@ class FabricServer(HTTPServer):
             collections.OrderedDict())
         self._requests: "queue.SimpleQueue[_t.Optional[_Request]]" = (
             queue.SimpleQueue())
+        # accepted connections not yet closed, queued or in a handler
+        # (a dict for its order); the lock also keeps a close from
+        # racing server_close's shutdown
+        self._open: _t.Dict[socket.socket, None] = {}
+        self._open_lock = threading.Lock()
         self._workers = [
             threading.Thread(target=self._work, daemon=True,
                              name=f"fabric-handler-{i}")
@@ -97,7 +103,14 @@ class FabricServer(HTTPServer):
     # ------------------------------------------------------ handler pool
     def process_request(self, request: _t.Any,
                         client_address: _t.Any) -> None:
+        with self._open_lock:
+            self._open[request] = None
         self._requests.put((request, client_address))
+
+    def shutdown_request(self, request: _t.Any) -> None:
+        with self._open_lock:
+            self._open.pop(request, None)
+            super().shutdown_request(request)
 
     def _work(self) -> None:
         while True:
@@ -115,8 +128,19 @@ class FabricServer(HTTPServer):
     def server_close(self) -> None:
         """Stop listening, let the handler threads finish the requests
         already accepted, then close the fabric's connections (the
-        fabric stays usable: they reopen on next use)."""
+        fabric stays usable: they reopen on next use).
+
+        The read side of every open connection is shut first: a handler
+        waiting on a silent client sees end-of-file at once instead of
+        waiting out :data:`READ_TIMEOUT_S`, while responses being
+        written still go out."""
         super().server_close()
+        with self._open_lock:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the client is already gone
         workers, self._workers = self._workers, []
         for _ in workers:
             self._requests.put(None)
@@ -300,6 +324,9 @@ def make_server(fabric: Fabric, host: str = "127.0.0.1",
 
 
 def main(argv: _t.Optional[_t.Sequence[str]] = None) -> int:
+    """Serve until Ctrl-C (exit 130) or SIGTERM (exit 0).  Both close
+    the server and the fabric on the way out, so every SQLite
+    connection is closed and the WAL is checkpointed."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.fabric.serve",
         description="Serve a fabric root over HTTP: warm results "
@@ -323,6 +350,14 @@ def main(argv: _t.Optional[_t.Sequence[str]] = None) -> int:
     fabric = Fabric(args.root, backend=args.backend)
     server = make_server(fabric, args.host, args.port,
                          quiet=not args.verbose)
+
+    def terminate(signum: int, frame: _t.Any) -> None:
+        # serve_forever runs on this thread, and shutdown() waits for
+        # it to return, so shutdown() must run on another thread
+        threading.Thread(target=server.shutdown, daemon=True).start()
+
+    # installed before the banner: whoever reads it may send SIGTERM
+    previous = signal.signal(signal.SIGTERM, terminate)
     print(f"fabric service on {server.url} "
           f"(root={pathlib.Path(args.root)}, "
           f"backend={fabric.store.backend})",
@@ -334,6 +369,7 @@ def main(argv: _t.Optional[_t.Sequence[str]] = None) -> int:
     finally:
         server.server_close()
         fabric.close()
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -329,8 +329,61 @@ class FileStore(ResultStore):
 
 # -------------------------------------------------------- sqlite store
 class _Connection(sqlite3.Connection):
-    """A plain connection that, unlike ``sqlite3.Connection``, can be
-    weakly referenced."""
+    """A connection that, unlike ``sqlite3.Connection``, can be weakly
+    referenced and closed from another thread.
+
+    ``sqlite3`` runs a statement with the GIL released and reads the
+    connection's handle again once it returns; a ``close()`` from
+    another thread in between frees that handle and crashes the
+    process.  Statements and ``close()`` therefore take one lock, so a
+    close waits for the running statement, and the owner's next
+    statement raises ``ProgrammingError`` (closed) instead.
+    """
+
+    def __init__(self, *args: _t.Any, **kwargs: _t.Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._busy = threading.RLock()
+
+    def execute(self, *args: _t.Any) -> sqlite3.Cursor:
+        with self._busy:
+            return super().execute(*args)
+
+    def executescript(self, script: str) -> sqlite3.Cursor:
+        with self._busy:
+            return super().executescript(script)
+
+    def commit(self) -> None:
+        with self._busy:
+            super().commit()
+
+    def __exit__(self, *exc: _t.Any) -> _t.Any:
+        with self._busy:
+            return super().__exit__(*exc)
+
+    def close(self) -> None:
+        with self._busy:
+            super().close()
+
+
+#: seconds a connection waits for another one's lock before failing
+_BUSY_TIMEOUT_S = 30.0
+
+
+def _set_wal(conn: sqlite3.Connection) -> None:
+    """Put ``conn``'s database in WAL mode.  When connections race to
+    open the same database, SQLite can answer this pragma with
+    "database is locked" at once, without the busy timeout, so it is
+    retried until that timeout has passed."""
+    deadline = time.monotonic() + _BUSY_TIMEOUT_S
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                conn.close()
+                raise
+            time.sleep(0.01)
 
 
 class SqliteConnections:
@@ -340,7 +393,8 @@ class SqliteConnections:
     ``schema`` applied) on first use and keeps it, so a long-lived
     thread — a result-service handler, a worker daemon — pays the open
     once.  :meth:`close` closes every connection still open, whichever
-    thread opened it; the next use from any thread opens a fresh one.
+    thread opened it, after the statement running on it (if any); the
+    next use from any thread opens a fresh one.
     A thread that ends drops its connection with it.
     """
 
@@ -364,9 +418,9 @@ class SqliteConnections:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # only this thread runs statements on it; check_same_thread is
         # off so that close() may close it from another thread
-        conn = sqlite3.connect(self.path, timeout=30.0,
+        conn = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT_S,
                                check_same_thread=False, factory=_Connection)
-        conn.execute("PRAGMA journal_mode=WAL")
+        _set_wal(conn)
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.executescript(self._schema)
         conn.commit()

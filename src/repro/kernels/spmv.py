@@ -23,6 +23,17 @@ Cached matrices are shared, so their arrays are frozen read-only
 (mutation raises) and per-row-block index lookups (`row_block`) are
 cached on the matrix itself.  ``clear_csr_cache`` / ``csr_cache_info``
 reset and observe the cache.
+
+Gather buffer
+-------------
+:func:`spmv_rows` needs one float64 temporary of a block's nonzero
+count (the gathered ``x`` entries, multiplied in place).  Every call,
+on every matrix, uses the same module-level buffer, grown to the
+largest block served so far, so the kernel layer holds one block's
+worth of scratch however many matrices and row splits a sweep visits.
+The buffer is not locked: it relies on simulation being
+single-threaded within a process (parallel sweeps and fabric worker
+daemons use processes; never run two simulating threads in one).
 """
 
 from __future__ import annotations
@@ -53,8 +64,7 @@ class CsrMatrix:
     col: np.ndarray      # int32, len nnz
     val: np.ndarray      # float64, len nnz
     #: per-row-block lookup cache: (lo, hi) -> (start, stop, boundaries,
-    #: empty_rows, nnz, col_block, val_block, scratch); see
-    #: :meth:`row_block`
+    #: empty_rows, nnz, col_block, val_block); see :meth:`row_block`
     _block_cache: _t.Dict[_t.Tuple[int, int], tuple] = dataclasses.field(
         default_factory=dict, repr=False, compare=False)
 
@@ -69,14 +79,14 @@ class CsrMatrix:
     def row_block(self, lo: int, hi: int) -> tuple:
         """Cached index data of the row block [lo, hi): a tuple
         ``(start, stop, boundaries, empty_rows, nnz, col_block,
-        val_block, scratch)`` where ``start`` / ``stop`` delimit the
-        block's nonzeros, ``boundaries`` are the block-relative
-        ``reduceat`` offsets, ``empty_rows`` indexes zero-nonzero rows
-        (``None`` when there are none — the common case for stencil
-        operators), ``col_block`` / ``val_block`` are the contiguous
-        indptr-sliced views of the block's column indices and values,
-        and ``scratch`` is a reusable float64 buffer of ``nnz`` entries
-        (the gather/product temporary of :func:`spmv_rows`).
+        val_block)`` where ``start`` / ``stop`` delimit the block's
+        nonzeros, ``boundaries`` are the block-relative ``reduceat``
+        offsets, ``empty_rows`` indexes zero-nonzero rows (``None`` when
+        there are none — the common case for stencil operators), and
+        ``col_block`` / ``val_block`` are the contiguous indptr-sliced
+        views of the block's column indices and values.  The block
+        holds no float scratch of its own: :func:`spmv_rows` gathers
+        into the module's one shared buffer.
 
         The intra runtime evaluates each task's cost several times per
         section (scheduling + roofline charging) and executes the same
@@ -94,8 +104,7 @@ class CsrMatrix:
             empties = np.flatnonzero(counts == 0)
             blk = (start, stop, boundaries,
                    empties if empties.size else None, stop - start,
-                   self.col[start:stop], self.val[start:stop],
-                   np.empty(stop - start))
+                   self.col[start:stop], self.val[start:stop])
             self._block_cache[key] = blk
         return blk
 
@@ -174,21 +183,28 @@ _csr_hits = 0
 _csr_misses = 0
 #: total number of actual (uncached) constructions, for cache tests
 build_count = 0
+#: the gather/product temporary of :func:`spmv_rows`, shared by every
+#: matrix and row block (see the module docstring)
+_gather = np.empty(0)
 
 
 def clear_csr_cache() -> None:
-    """Drop all memoized matrices and reset hit/miss counters."""
-    global _csr_hits, _csr_misses
+    """Drop all memoized matrices and the gather buffer, and reset
+    hit/miss counters."""
+    global _csr_hits, _csr_misses, _gather
     _csr_cache.clear()
     _csr_hits = 0
     _csr_misses = 0
+    _gather = np.empty(0)
 
 
 def csr_cache_info() -> _t.Dict[str, int]:
-    """Cache observability: hits, misses, current size, max size."""
+    """Cache observability: hits, misses, current size, max size,
+    uncached builds, and the bytes of the :func:`spmv_rows` gather
+    buffer."""
     return {"hits": _csr_hits, "misses": _csr_misses,
             "size": len(_csr_cache), "maxsize": _CSR_CACHE_MAX,
-            "builds": build_count}
+            "builds": build_count, "gather_bytes": _gather.nbytes}
 
 
 def build_stencil_csr(nx: int, ny: int, nz: int, has_lower: bool,
@@ -262,20 +278,26 @@ def spmv_rows(matrix: CsrMatrix, x_padded: np.ndarray, lo: int, hi: int,
 
     Vectorised CSR row-block product over the matrix's precomputed block
     slices (no Python-level row loop, no per-call temporaries): the
-    gather runs through ``np.take`` into the block's reusable scratch
-    buffer, the product is formed in place, and the segmented sum
-    (``np.add.reduceat`` on the cached row boundaries) reduces straight
-    into ``y_block``.  The arithmetic — gather, multiply, left-to-right
-    segmented sum — is operation-for-operation the seed's per-call
-    kernel, so results are bit-identical to it (the reference lives in
-    ``tests/kernels/test_csr_cache.py``, which asserts exact equality).
+    gather runs through ``np.take`` into the module's one gather buffer
+    (grown to the largest block seen so far; see the module docstring
+    for why it needs no lock), the product is formed in place, and the
+    segmented sum (``np.add.reduceat`` on the cached row boundaries)
+    reduces straight into ``y_block``.  The arithmetic — gather,
+    multiply, left-to-right segmented sum — is operation-for-operation
+    the seed's per-call kernel, so results are bit-identical to it (the
+    reference lives in ``tests/kernels/test_csr_cache.py``, which
+    asserts exact equality).
 
     ``x_padded`` and ``y_block`` must be float64 (all kernel call sites
     are); ``y_block`` must be a contiguous view of ``hi - lo`` entries.
     """
-    (start, stop, boundaries, empty_rows, _nnz,
-     col_block, val_block, scratch) = matrix.row_block(lo, hi)
-    if stop > start:
+    global _gather
+    (_start, _stop, boundaries, empty_rows, nnz,
+     col_block, val_block) = matrix.row_block(lo, hi)
+    if nnz:
+        if _gather.size < nnz:
+            _gather = np.empty(nnz)
+        scratch = _gather[:nnz]
         np.take(x_padded, col_block, out=scratch)
         np.multiply(scratch, val_block, out=scratch)
         np.add.reduceat(scratch, boundaries, out=y_block)

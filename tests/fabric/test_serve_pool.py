@@ -1,14 +1,20 @@
 """The result service's handler pool and warm-body memo: connections
 kept per handler thread and closed on shutdown, memo hits that still
 honour deletions and quarantine, no warning-filter churn, no writes on
-warm hits, and no pool starvation by silent clients."""
+warm hits, no pool starvation by silent clients, and an orderly exit on
+SIGTERM."""
 
 import collections
 import json
+import os
+import pathlib
+import signal
 import socket
 import sqlite3
+import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -16,6 +22,7 @@ import warnings
 
 import pytest
 
+import repro
 from repro.apps.hpccg import KernelBenchConfig
 from repro.fabric import Fabric
 from repro.fabric import serve
@@ -259,3 +266,44 @@ def test_idle_clients_cannot_pin_the_pool(served, monkeypatch):
         for s in idle:
             s.close()
     assert (status, json.loads(body)) == (200, {"status": "ok"})
+
+
+def test_sigterm_closes_the_service_and_exits_zero(tmp_path):
+    """``python -m repro.fabric.serve`` sent SIGTERM with an idle client
+    connected exits 0 well before that client's read timeout, having
+    closed its SQLite connections: the queue write of a cold request
+    leaves no WAL content behind."""
+    root = tmp_path / "fabric"
+    with Fabric(root, backend="sqlite", poll=0.01) as fab:
+        key = fab.enqueue_scenario(TINY)
+        fab.drain()
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.fabric.serve", "--root", str(root),
+         "--backend", "sqlite", "--port", "0"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stderr=subprocess.PIPE, text=True)
+    try:
+        banner = proc.stderr.readline()
+        assert banner.startswith("fabric service on http://"), banner
+        url = banner.split()[3]
+        host, port = urllib.parse.urlsplit(url).netloc.split(":")
+        with socket.create_connection((host, int(port))):
+            # the idle connection holds a handler in its read
+            status, body = _get(f"{url}/result/{key}")
+            assert status == 200
+            assert json.loads(body)["cache"]["key"] == key
+            assert _get(f"{url}/scenario/{NAME}")[0] == 202  # a write
+            start = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            code = proc.wait(timeout=serve.READ_TIMEOUT_S)
+            elapsed = time.monotonic() - start
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert code == 0
+    assert elapsed < serve.READ_TIMEOUT_S / 2
+    wal = [p for p in root.rglob("*-wal") if p.stat().st_size]
+    assert not wal

@@ -5,13 +5,19 @@ Every assertion here runs against the ``file`` oracle layout *and* the
 only where the bytes live differs.
 """
 
+import os
+import pathlib
 import pickle
 import sqlite3
+import subprocess
+import sys
 import threading
 import warnings
 
 import pytest
 
+import repro
+from repro.fabric import store as store_mod
 from repro.fabric.store import (CACHE_BACKENDS, FileStore, SqliteStore,
                                 SQLITE_FILENAME, get_cache_backend,
                                 open_store, resolve_cache_backend,
@@ -167,6 +173,112 @@ def test_sqlite_close_closes_connections_of_live_threads(tmp_path):
         t.join()
     assert s.get(KEY_A) == b"a"            # the next use reopens
     s.close()
+
+
+def test_sqlite_wal_switch_retries_a_locked_database(tmp_path,
+                                                     monkeypatch):
+    """SQLite may refuse ``PRAGMA journal_mode=WAL`` with "database is
+    locked" at once while another connection opens the same file; the
+    connection retries instead of failing its thread's first use."""
+    real = store_mod._Connection.execute
+    refusals = []
+
+    def execute(self, sql, *args):
+        if "journal_mode" in sql and len(refusals) < 3:
+            refusals.append(sql)
+            raise sqlite3.OperationalError("database is locked")
+        return real(self, sql, *args)
+
+    monkeypatch.setattr(store_mod._Connection, "execute", execute)
+    s = SqliteStore(tmp_path)
+    s.put(KEY_A, b"a")
+    assert len(refusals) == 3
+    mode = s._conns.get().execute("PRAGMA journal_mode").fetchone()[0]
+    assert mode == "wal"
+    s.close()
+
+
+def test_sqlite_other_errors_on_open_are_not_retried(tmp_path, monkeypatch):
+    def execute(self, sql, *args):
+        raise sqlite3.OperationalError("disk I/O error")
+
+    monkeypatch.setattr(store_mod._Connection, "execute", execute)
+    with pytest.raises(sqlite3.OperationalError, match="disk I/O"):
+        SqliteStore(tmp_path).put(KEY_A, b"a")
+
+
+def test_sqlite_threads_racing_to_open_a_new_database_all_succeed(
+        tmp_path):
+    errors = []
+    for trial in range(50):
+        path = tmp_path / f"race{trial}"
+        start = threading.Barrier(4)
+
+        def first_use():
+            s = SqliteStore(path)
+            start.wait()
+            try:
+                s.has(KEY_A)
+                s.put(KEY_A, b"a")
+            except sqlite3.OperationalError as exc:
+                errors.append(str(exc))
+            finally:
+                s.close()
+
+        threads = [threading.Thread(target=first_use) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    assert errors == []
+
+
+#: three threads read while the main thread closes the store over and
+#: over for a second; exit 0 unless a reader fails other than by
+#: finding its connection closed
+_CLOSE_UNDER_READERS = """
+import sqlite3, sys, threading, time
+from repro.fabric.store import SqliteStore
+store = SqliteStore(sys.argv[1])
+key = "aa" + "0" * 61
+store.put(key, b"x" * 1000)
+stop = threading.Event()
+failures = []
+def read():
+    while not stop.is_set():
+        try:
+            store.get(key)
+            store.has("bb" + "0" * 61)
+        except sqlite3.ProgrammingError as exc:
+            if "closed" not in str(exc):
+                failures.append(exc)
+        except Exception as exc:
+            failures.append(exc)
+readers = [threading.Thread(target=read) for _ in range(3)]
+for t in readers:
+    t.start()
+end = time.monotonic() + 1.0
+while time.monotonic() < end:
+    store.close()
+    time.sleep(0.0005)
+stop.set()
+for t in readers:
+    t.join()
+store.close()
+sys.exit(1 if failures else 0)
+"""
+
+
+def test_sqlite_close_under_running_statements_does_not_crash(tmp_path):
+    """``close()`` from one thread while others run statements on
+    their connections waits for each running statement; unguarded, the
+    process dies of a segmentation fault."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLOSE_UNDER_READERS, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_sqlite_quarantine_moves_row_to_corrupt_table(tmp_path):

@@ -218,3 +218,53 @@ def test_row_block_cache_matches_direct_computation():
             dense[r, m.col[k]] += m.val[k]
     np.testing.assert_allclose(y, dense[lo:hi] @ x)
     assert m.row_nnz(lo, hi) == int(m.row_ptr[hi] - m.row_ptr[lo])
+
+
+def _splits(n_rows: int, ways: int):
+    """The ``ways``-way row split of the intra runtime's block tasks."""
+    edges = [n_rows * k // ways for k in range(ways + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def test_shared_gather_buffer_across_matrices_and_splits():
+    """Interleaved products over two matrices and over the 1…64-way
+    splits of one of them all equal the seed reference, although every
+    call gathers into the same module buffer; the buffer stays one
+    block's worth: at most the largest block's nnz × 8 bytes."""
+    a = build_27pt(8, 8, 8, has_lower=True, has_upper=True)
+    b = build_7pt(6, 5, 7, has_lower=False, has_upper=True)
+    rng = np.random.default_rng(11)
+    xa = rng.standard_normal(a.padded_len)
+    xb = rng.standard_normal(b.padded_len)
+    calls = []
+    for ways in (1, 2, 4, 8, 16, 32, 64):
+        for blk_a, blk_b in zip(_splits(a.n_rows, ways),
+                                _splits(b.n_rows, ways)):
+            calls += [(a, xa, *blk_a), (b, xb, *blk_b)]
+    # a small block between two big ones must not see stale entries
+    calls += [(a, xa, 0, a.n_rows), (b, xb, 5, 6), (a, xa, 0, a.n_rows)]
+    largest = 0
+    for m, x, lo, hi in calls:
+        fast = np.empty(hi - lo)
+        ref = np.empty(hi - lo)
+        spmv_rows(m, x, lo, hi, fast)
+        _spmv_rows_reference(m, x, lo, hi, ref)
+        np.testing.assert_array_equal(fast, ref)
+        largest = max(largest, m.row_nnz(lo, hi))
+    assert largest == a.nnz
+    assert 0 < csr_cache_info()["gather_bytes"] <= largest * 8
+    # no row block keeps float scratch of its own: its only float
+    # array is the view of the matrix's values
+    for m in (a, b):
+        for blk in m._block_cache.values():
+            floats = [v for v in blk if isinstance(v, np.ndarray)
+                      and v.dtype == np.float64]
+            assert len(floats) == 1 and floats[0].base is m.val
+
+
+def test_clear_csr_cache_releases_the_gather_buffer():
+    m = build_27pt(4, 4, 4, has_lower=False, has_upper=False)
+    spmv_rows(m, np.ones(m.padded_len), 0, m.n_rows, np.empty(m.n_rows))
+    assert csr_cache_info()["gather_bytes"] == m.nnz * 8
+    clear_csr_cache()
+    assert csr_cache_info()["gather_bytes"] == 0

@@ -7,8 +7,11 @@ and asserts every served ``RunResult`` is JSON-identical to a warm
 serial sweep of the same points.  It then loads the service from
 several client threads at once, mixing ``/result`` and ``/scenario``
 requests while one raw connection sits idle: every body must equal the
-warm serial JSON byte for byte.  Last, the service must exit within
-10 s of SIGTERM.  Exit 0 on parity, 1 on any mismatch or timeout.
+warm serial JSON byte for byte.  Last, with the worker stopped and the
+idle connection still open, the service must exit with return code 0
+within 10 s of SIGTERM and leave no content in any SQLite ``-wal``
+file (it closed every connection it opened).  Exit 0 on parity, 1 on
+any mismatch, timeout or unclean exit.
 
 Run locally:  ``PYTHONPATH=src python tools/ci_fabric_smoke.py``
 """
@@ -130,19 +133,33 @@ def main() -> int:
                           f"{bad[0]}", file=sys.stderr)
                     return 1
                 stats = client.stats()
+                # the worker goes first, so the service holds the last
+                # SQLite connections and its close checkpoints the WAL
+                worker.terminate()
+                worker.wait(timeout=EXIT_TIMEOUT_S)
                 serve.terminate()
                 try:
-                    serve.wait(timeout=EXIT_TIMEOUT_S)
+                    code = serve.wait(timeout=EXIT_TIMEOUT_S)
                 except subprocess.TimeoutExpired:
                     print(f"FAIL: service still running "
                           f"{EXIT_TIMEOUT_S:.0f} s after SIGTERM",
                           file=sys.stderr)
                     return 1
+            if code != 0:
+                print(f"FAIL: service exited with return code {code} "
+                      f"on SIGTERM, not 0", file=sys.stderr)
+                return 1
+            wal = sorted(str(p) for p in fabric_root.rglob("*-wal")
+                         if p.stat().st_size)
+            if wal:
+                print(f"FAIL: SQLite WAL content left behind after "
+                      f"SIGTERM: {', '.join(wal)}", file=sys.stderr)
+                return 1
 
             print(f"fabric smoke OK: {len(served)} point(s) served "
                   f"with serial parity, "
                   f"{CLIENTS * REQUESTS_PER_CLIENT} concurrent request(s) "
-                  f"byte-identical "
+                  f"byte-identical, clean exit on SIGTERM "
                   f"(store entries: {stats['store']['entries']}, "
                   f"queue done: {stats['queue']['done']}, "
                   f"memo hits: {stats['memo']['hits']})")
