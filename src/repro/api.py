@@ -19,7 +19,10 @@ Design invariants:
   the determinism guarantees underneath.
 * Sweeps stream: :func:`iter_sweep` yields results as the worker pool
   completes them; :func:`sweep` is the ordered batch form with an
-  optional ``on_result`` progress callback.
+  optional ``on_result`` progress callback.  Every sweep, local or
+  through a fabric, runs on the one planner of :mod:`repro.perf.sweep`;
+  how its inline, pool and fabric executors apply ``timeout`` and
+  retries is tabulated in ``docs/api.md`` ("Sweep executors").
 * Name resolution imports :mod:`repro.experiments` on demand so every
   registered figure/example scenario is addressable without eagerly
   importing the experiment harness at ``import repro`` time.
@@ -31,7 +34,7 @@ import typing as _t
 
 from .perf import PointFailure
 from .perf import iter_sweep as _perf_iter_sweep
-from .perf.retry import RetryPolicy
+from .perf.sweep import _fabric_sweep
 from .results import ResultSet, RunResult
 from .scenarios import Scenario, scenario_cache_key
 from .scenarios.run import SCENARIO_SWEEP_TAG, _run_scenario
@@ -144,7 +147,8 @@ def iter_sweep(scenarios: _t.Iterable[ScenarioLike], *,
     pool for the distributed fabric: warm points stream straight out of
     the fabric's result store, cold points are enqueued for whatever
     ``python -m repro.fabric.worker`` daemons share the root, and the
-    iterator polls results in as they land — see :func:`sweep`.
+    iterator polls results in as they land — see :func:`sweep` and the
+    executor table of ``docs/api.md``.
     """
     for _i, result in _iter_indexed([scenario(s) for s in scenarios],
                                     workers=workers, cache=cache,
@@ -154,7 +158,7 @@ def iter_sweep(scenarios: _t.Iterable[ScenarioLike], *,
         yield result
 
 
-def _iter_indexed(resolved: _t.Sequence[Scenario], *,
+def _iter_indexed(resolved: _t.List[Scenario], *,
                   workers: _t.Optional[int] = None,
                   cache: _t.Optional[bool] = None,
                   cache_dir: _t.Optional[_t.Any] = None,
@@ -165,17 +169,18 @@ def _iter_indexed(resolved: _t.Sequence[Scenario], *,
                   fabric: _t.Optional[_t.Any] = None
                   ) -> _t.Iterator[_t.Tuple[int, RunResult]]:
     """(input index, RunResult) pairs in completion order — the shared
-    core of :func:`iter_sweep` and :func:`sweep`."""
+    core of :func:`iter_sweep` and :func:`sweep`, and the one place
+    sweep items become results."""
     if fabric is not None:
-        yield from _iter_fabric(resolved, fabric, timeout=timeout,
-                                on_error=on_error)
-        return
-    for item in _perf_iter_sweep(resolved, _run_scenario,
+        items = _fabric_sweep(resolved, fabric, timeout, on_error)
+    else:
+        items = _perf_iter_sweep(resolved, _run_scenario,
                                  workers=workers, cache=cache,
                                  cache_dir=cache_dir,
                                  tag=SCENARIO_SWEEP_TAG,
                                  timeout=timeout, retries=retries,
-                                 backoff=backoff, on_error=on_error):
+                                 backoff=backoff, on_error=on_error)
+    for item in items:
         key = (item.cache_key if item.cache_key is not None
                else scenario_cache_key(item.point))
         if isinstance(item.value, PointFailure):
@@ -185,113 +190,6 @@ def _iter_indexed(resolved: _t.Sequence[Scenario], *,
         hit = item.cache_hit if item.cache_key is not None else None
         yield item.index, RunResult.from_mode_run(
             item.value, item.point, cache_key=key, cache_hit=hit)
-
-
-def _iter_fabric(resolved: _t.Sequence[Scenario], fabric: _t.Any, *,
-                 timeout: _t.Optional[float] = None,
-                 on_error: str = "raise"
-                 ) -> _t.Iterator[_t.Tuple[int, RunResult]]:
-    """The fabric-backed sweep core: serve warm points from the
-    fabric's store, enqueue cold ones for the workers sharing its root,
-    poll the rest in.
-
-    Semantics mirror the local driver where they can: points dedupe on
-    the same scenario-hash keys, a point already warm *at sweep start*
-    yields ``cache_hit=True``, one computed during this sweep (by a
-    fabric worker) yields ``cache_hit=False``, so fabric and serial
-    results are byte-identical.  Retry policy, though, lives in the
-    *queue* (the fabric's ``max_attempts``/``backoff``, charged per
-    worker attempt), not in per-sweep ``retries`` — a point the queue
-    parks as ``failed`` surfaces as a
-    :class:`~repro.perf.PointFailure` (``on_error="return"``) or
-    raises (``"raise"``).  ``timeout`` is the overall wait budget for
-    the sweep's cold points (no workers running means no progress)."""
-    if on_error not in ("raise", "return"):
-        raise ValueError(f"on_error must be 'raise' or 'return', got "
-                         f"{on_error!r}")
-    import time as _time
-
-    pending: _t.List[_t.Tuple[int, str]] = []
-    duplicates: _t.Dict[str, _t.List[int]] = {}
-    seen: _t.Dict[str, int] = {}
-    warm: _t.Dict[str, _t.Any] = {}
-    for i, s in enumerate(resolved):
-        key = fabric.record_scenario(s)
-        if key in seen:
-            duplicates.setdefault(key, []).append(i)
-            continue
-        seen[key] = i
-        mode_run = fabric.load_result(key)
-        if mode_run is not None:
-            warm[key] = mode_run
-            yield i, RunResult.from_mode_run(mode_run, s, cache_key=key,
-                                             cache_hit=True)
-        else:
-            fabric.enqueue_scenario(s)
-            pending.append((i, key))
-
-    def _fan_out(key: str, make: _t.Callable[[int], RunResult]
-                 ) -> _t.Iterator[_t.Tuple[int, RunResult]]:
-        for j in duplicates.get(key, ()):  # same key, same result
-            yield j, make(j)
-
-    # duplicates of warm points fan out after the uniques, like the
-    # local driver's in-sweep dedupe
-    for key, mode_run in warm.items():
-        yield from _fan_out(key, lambda j: RunResult.from_mode_run(
-            mode_run, resolved[j], cache_key=key, cache_hit=True))
-
-    deadline = (None if timeout is None else
-                _time.monotonic() + timeout)  # detlint: ignore[DET003] -- wait budget for remote workers, not simulated time
-    while pending:
-        still: _t.List[_t.Tuple[int, str]] = []
-        for i, key in pending:
-            mode_run = fabric.load_result(key)
-            if mode_run is not None:
-                # computed during this sweep → a cold-run result,
-                # exactly like the serial driver's fresh computation;
-                # its same-key duplicates dedupe as hits, also like
-                # the local driver
-                yield i, RunResult.from_mode_run(
-                    mode_run, resolved[i], cache_key=key,
-                    cache_hit=False)
-                yield from _fan_out(key, lambda j: RunResult.from_mode_run(
-                    mode_run, resolved[j], cache_key=key,
-                    cache_hit=True))
-                continue
-            item = fabric.queue.get(key)
-            if item is not None and item.state == "failed":
-                failure = PointFailure(
-                    error=item.error or "point failed in fabric",
-                    kind=RetryPolicy.kind_of(item.error or ""),
-                    attempts=item.attempts)
-                if on_error == "raise":
-                    raise RuntimeError(
-                        f"fabric point {key[:12]}… failed after "
-                        f"{item.attempts} attempt(s): {failure.error}")
-                yield i, RunResult.from_failure(failure, resolved[i],
-                                                cache_key=key)
-                yield from _fan_out(key, lambda j: RunResult.from_failure(
-                    failure, resolved[j], cache_key=key))
-                continue
-            still.append((i, key))
-        pending = still
-        if not pending:
-            break
-        if deadline is not None and _time.monotonic() >= deadline:  # detlint: ignore[DET003] -- wait budget for remote workers, not simulated time
-            failure = PointFailure(
-                error=f"fabric sweep timed out with {len(pending)} "
-                      f"point(s) still pending (are workers running?)",
-                kind="timeout", attempts=0)
-            if on_error == "raise":
-                raise TimeoutError(failure.error)
-            for i, key in pending:
-                yield i, RunResult.from_failure(failure, resolved[i],
-                                                cache_key=key)
-                yield from _fan_out(key, lambda j: RunResult.from_failure(
-                    failure, resolved[j], cache_key=key))
-            return
-        _time.sleep(fabric.poll)
 
 
 def sweep(scenarios: _t.Iterable[ScenarioLike], *,
@@ -327,7 +225,9 @@ def sweep(scenarios: _t.Iterable[ScenarioLike], *,
     retry policy moves to the fabric's queue
     (``Fabric(max_attempts=..., backoff=...)``), so the per-sweep
     ``retries``/``backoff``/``workers``/``cache`` knobs are ignored in
-    fabric mode and ``timeout`` bounds the total wait for cold points.
+    fabric mode and ``timeout`` bounds the total wait for cold points
+    (the executor table of ``docs/api.md`` sets the three executors
+    side by side).
     """
     resolved = [scenario(s) for s in scenarios]
     ordered: _t.List[_t.Optional[RunResult]] = [None] * len(resolved)

@@ -14,12 +14,10 @@ completed work: that is what makes sweeps resumable.
 from __future__ import annotations
 
 import pathlib
-import pickle
 import typing as _t
-import warnings
 
 from .queue import WorkQueue
-from .store import ResultStore, open_store
+from .store import ResultStore, open_store, read_result, write_result
 
 __all__ = ["Fabric"]
 
@@ -84,47 +82,15 @@ class Fabric:
     # ---------------------------------------------------------- results
     def load_result(self, key: str) -> _t.Optional[_t.Any]:
         """The stored :class:`~repro.scenarios.run.ModeRun` for ``key``,
-        or ``None`` on a miss.  Corrupt bytes quarantine (file:
-        ``*.corrupt``; sqlite: the ``corrupt`` table), warn, and report
-        a miss — exactly the sweep driver's contract, so a poisoned
-        entry recomputes instead of crashing the fabric."""
-        mode_run, problem = self._read_result(key)
-        if problem is not None:
-            warnings.warn(problem, RuntimeWarning, stacklevel=2)
-        return mode_run
-
-    def _read_result(self, key: str
-                     ) -> _t.Tuple[_t.Optional[_t.Any], _t.Optional[str]]:
-        """:meth:`load_result` without the warning: ``(mode_run,
-        problem)``, where ``problem`` says why a present entry was
-        treated as a miss.  The result service reports through this
-        instead of the process-global warning filters."""
-        try:
-            data = self.store.get(key)
-        except Exception as exc:  # noqa: BLE001 — a broken store read
-            # must degrade to a miss, never take down a sweep/service
-            return None, (f"fabric store read failed for {key[:12]}… "
-                          f"({type(exc).__name__}: {exc}); treating as "
-                          f"a miss")
-        if data is None:
-            return None, None
-        try:
-            return pickle.loads(data), None
-        except Exception as exc:  # noqa: BLE001 — corrupt pickles raise
-            # nearly anything; quarantine + miss, same as the sweep
-            where = self.store.quarantine(
-                key, f"{type(exc).__name__}: {exc}")
-            note = f"; entry quarantined to {where}" if where else ""
-            return None, (f"ignoring corrupt fabric store entry "
-                          f"{key[:12]}… ({type(exc).__name__}: {exc})"
-                          f"{note}; the point will recompute")
+        or ``None`` on a miss.  A failed read or a corrupt payload is a
+        miss with a warning (:func:`~repro.fabric.store.read_result`),
+        so a poisoned entry recomputes instead of crashing the fabric."""
+        return read_result(self.store, key)[1]
 
     def put_result(self, key: str, mode_run: _t.Any) -> None:
-        """Store one computed result — the exact bytes the serial sweep
-        cache would write (pickle, highest protocol), so fabric-filled
-        and locally-filled caches are byte-interchangeable."""
-        self.store.put(key, pickle.dumps(
-            mode_run, protocol=pickle.HIGHEST_PROTOCOL))
+        """Store one computed result — the exact bytes the sweep cache
+        writes (:func:`~repro.fabric.store.write_result`)."""
+        write_result(self.store, key, mode_run)
 
     # ---------------------------------------------------------- workers
     def drain(self, max_points: _t.Optional[int] = None) -> int:

@@ -52,6 +52,7 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from .core import Fabric
+from .store import read_result
 
 __all__ = ["FabricServer", "main", "make_server"]
 
@@ -258,12 +259,12 @@ class _Handler(BaseHTTPRequestHandler):
         """Common tail of both routes: warm → 200 RunResult JSON, cold
         → enqueue + 202."""
         fabric = self.server.fabric
-        mode_run, problem = fabric._read_result(key)
-        if problem is not None:
-            # an unreadable entry (quarantined if corrupt) is a miss:
-            # the 202 + recompute below is the handling, the log says why
-            self.log_message("%s", problem)
-        if mode_run is not None:
+        # an unreadable entry (quarantined if corrupt) is a miss: the
+        # 202 + recompute below is the handling, the log says why
+        hit, mode_run = read_result(
+            fabric.store, key,
+            report=lambda problem: self.log_message("%s", problem))
+        if hit:
             from ..results import RunResult
             from ..scenarios.spec import Scenario
             scenario = Scenario.from_json(scenario_json)

@@ -29,6 +29,11 @@ garbage warns and falls back to ``file``), or explicitly via
 enters cache keys: a result written under one backend and migrated to
 the other (``python -m repro.experiments cache migrate``) serves
 byte-identically.
+
+Whatever the backend, one codec decides what the bytes are and how a
+bad read behaves: :func:`write_result` and :func:`read_result`.  The
+sweep cache, :class:`~repro.fabric.Fabric`, its workers and the result
+service all go through them.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import sqlite3
 import threading
 import time
 import typing as _t
+import warnings
 import weakref
 
 from .._envflags import env_choice as _env_choice
@@ -621,3 +627,46 @@ def open_store(root: _t.Union[str, pathlib.Path],
     there, which is what lets ``cache migrate`` convert in place.
     """
     return _STORE_TYPES[resolve_cache_backend(backend)](root)
+
+
+# -------------------------------------------------------- result codec
+def write_result(store: ResultStore, key: str, value: _t.Any) -> None:
+    """Store ``value`` under ``key`` as a pickle at the highest
+    protocol: the one byte format every writer of every backend uses,
+    so caches filled by sweeps and by fabric workers interchange."""
+    store.put(key, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _warn(problem: str) -> None:
+    warnings.warn(problem, RuntimeWarning, stacklevel=3)
+
+
+def read_result(store: ResultStore, key: str,
+                report: _t.Callable[[str], None] = _warn
+                ) -> _t.Tuple[bool, _t.Any]:
+    """``(hit, value)`` for ``key``; never raises.
+
+    A read that raises is a miss and leaves the entry alone.  A payload
+    that does not unpickle is quarantined (:meth:`ResultStore.quarantine`)
+    and is a miss too, so it neither crashes the caller nor shadows its
+    slot.  Either way ``report`` (a ``RuntimeWarning`` by default) gets
+    one line saying why, and the point recomputes."""
+    try:
+        data = store.get(key)
+    except Exception as exc:  # noqa: BLE001 — a broken read must
+        # degrade to a miss, never fail a sweep or the service
+        report(f"result store read failed for {key[:12]}… "
+               f"({type(exc).__name__}: {exc}); treating it as a miss")
+        return False, None
+    if data is None:
+        return False, None
+    try:
+        return True, pickle.loads(data)
+    except Exception as exc:  # noqa: BLE001 — corrupt pickles raise
+        # nearly anything
+        reason = f"{type(exc).__name__}: {exc}"
+        where = store.quarantine(key, reason)
+        note = f"; entry quarantined to {where}" if where else ""
+        report(f"ignoring corrupt result store entry {key[:12]}… "
+               f"({reason}){note}; the point will recompute")
+        return False, None

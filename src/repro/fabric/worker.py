@@ -16,7 +16,9 @@ A worker that is SIGKILLed mid-point loses nothing but its lease: the
 queue re-readies the item after the lease expires (one ``worker-lost``
 attempt, exponential backoff) and another worker re-runs it — the
 re-run stores the *same bytes*, so resumption is invisible in the
-results.  A run that raises charges a failed attempt via
+results.  SIGTERM stops the daemon the same way, except that it first
+closes its connections and exits 0 (Ctrl-C: 130).  A run that raises
+charges a failed attempt via
 :meth:`~repro.fabric.queue.WorkQueue.fail`; after ``max_attempts`` the
 item parks as ``failed`` and waiting sweeps surface it as a
 :class:`repro.perf.PointFailure`.
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import socket
 import sys
 import time
@@ -40,6 +43,16 @@ from .core import Fabric
 from .queue import Lease
 
 __all__ = ["drain", "main", "process_one", "run_worker"]
+
+
+class _Terminated(BaseException):
+    """Raised by :func:`main`'s SIGTERM handler.  Not an ``Exception``,
+    so :func:`process_one` does not charge the running point a failed
+    attempt: the point keeps its lease until the lease expires."""
+
+
+def _terminate(signum: int, frame: _t.Any) -> None:
+    raise _Terminated
 
 
 def default_worker_id() -> str:
@@ -166,13 +179,19 @@ def main(argv: _t.Optional[_t.Sequence[str]] = None) -> int:
                     backoff=args.backoff)
     log = None if args.quiet else (
         lambda line: print(line, file=sys.stderr, flush=True))
+    # SIGTERM unwinds like Ctrl-C, so the fabric's connections close
+    # (checkpointing the WAL) before the worker exits
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         done = run_worker(fabric, worker_id=args.worker_id,
                           max_points=args.max_points,
                           idle_exit=args.idle_exit, log=log)
     except KeyboardInterrupt:
         return 130
+    except _Terminated:
+        return 0
     finally:
+        signal.signal(signal.SIGTERM, previous)
         fabric.close()
     if log is not None:
         log(f"worker exiting after {done} point(s)")

@@ -11,6 +11,14 @@ each point's result on disk, keyed by a *stable* serialization of the
 point descriptor (:func:`stable_token` — plain ``repr`` is not stable
 for sets/dataclasses across hash seeds).
 
+One planner (:func:`_plan`) keys, dedupes and warm-serves every sweep
+and maps each outcome to a :class:`SweepItem`; three executors only run
+the cold points it hands them: inline (:func:`_serial_rounds`), a
+process pool (:func:`_pool_rounds`) and the distributed fabric
+(:func:`_fabric_rounds`, behind ``repro.sweep(..., fabric=...)``).
+How each applies ``timeout`` and retries, where it writes results and
+in what order it yields is tabulated once, in ``docs/api.md``.
+
 Defaults are conservative: serial and uncached.  The experiment CLI
 (``python -m repro.experiments --workers N``) and the perf benchmark
 opt in through :func:`configure`; library callers can also pass
@@ -24,10 +32,8 @@ import dataclasses
 import enum
 import hashlib
 import pathlib
-import pickle
 import time
 import typing as _t
-import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 from .. import _envflags
@@ -161,11 +167,12 @@ def point_cache_key(fn: _t.Callable, point: _t.Any, tag: str = "") -> str:
 
 
 # ------------------------------------------------------------- disk cache
-# Since PR 10 the cache's bytes live behind the ResultStore protocol of
-# :mod:`repro.fabric.store` (the sharded-file oracle layout by default,
-# SQLite via ``REPRO_CACHE_BACKEND=sqlite``).  Stores are memoized per
-# (backend, root) so a long sweep reuses one handle; pool workers start
-# with a clean slate via :func:`_worker_init`.
+# The cache's bytes, and what a bad read means, are decided by the codec
+# of :mod:`repro.fabric.store` (:func:`~repro.fabric.store.read_result`,
+# :func:`~repro.fabric.store.write_result`), on whichever store
+# :func:`~repro.fabric.store.open_store` picks for the cache root.  One
+# handle is kept per (backend, root), so a long sweep reuses it; pool
+# workers drop the inherited handles in :func:`_worker_init`.
 _STORES: _t.Dict[_t.Tuple[str, str], _t.Any] = {}
 
 
@@ -178,55 +185,16 @@ def _result_store(cache_dir: pathlib.Path) -> _t.Any:
     return store
 
 
-def _cache_path(cache_dir: pathlib.Path, key: str) -> pathlib.Path:
-    """The file-backend shard path — pinned layout
-    (``tests/api/test_cache_compat.py``); the SQLite backend stores the
-    same bytes in its ``results`` table instead."""
-    return cache_dir / f"{key[:2]}" / f"{key}.pkl"
-
-
-def _cache_load(cache_dir: pathlib.Path, key: str) -> _t.Tuple[bool, _t.Any]:
-    store = _result_store(cache_dir)
-    try:
-        data = store.get(key)
-        if data is None:
-            return False, None      # an ordinary miss: nothing stored
-        return True, pickle.loads(data)
-    except Exception as exc:        # noqa: BLE001 — unpickling corrupt
-        # bytes can raise nearly anything; none of it may fail the sweep
-        # Quarantine: an unreadable/corrupt entry must neither crash the
-        # sweep nor shadow its slot forever.  Move it aside (kept for
-        # post-mortems, ignored by loads: ``.corrupt`` file or
-        # ``corrupt`` table row), warn, and report a miss — the point
-        # recomputes and _cache_store rewrites the entry.
-        where = store.quarantine(key, f"{type(exc).__name__}: {exc}")
-        note = f"; entry quarantined to {where}" if where else ""
-        label = f"{key}.pkl" if store.backend == "file" else f"{key[:12]}…"
-        warnings.warn(
-            f"ignoring corrupt sweep-cache entry {label} "
-            f"({type(exc).__name__}: {exc}){note}; recomputing the "
-            f"point", RuntimeWarning, stacklevel=3)
-        return False, None
-
-
-def _cache_store(cache_dir: pathlib.Path, key: str, value: _t.Any) -> None:
-    try:
-        _result_store(cache_dir).put(
-            key, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:  # noqa: BLE001 — disk-full, locked DB, unpicklable
-        pass  # caching is best-effort; never fail the sweep
-
-
 def clear_result_cache(cache_dir: _t.Optional[_t.Union[str, pathlib.Path]]
                        = None) -> int:
     """Delete all cached sweep results; returns the number removed.
 
     Uniform across store backends: the file layout also sweeps the
     ``.tmp<pid>`` droppings a crashed writer leaves behind, the
-    ``.corrupt`` files :func:`_cache_load` quarantined, and prunes
-    emptied shard directories; the SQLite backend empties its
-    ``results`` *and* ``corrupt`` tables.  Residue never counts toward
-    the return value, which is cached *results* only.
+    ``.corrupt`` files a read quarantined, and prunes emptied shard
+    directories; the SQLite backend empties its ``results`` *and*
+    ``corrupt`` tables.  Residue never counts toward the return value,
+    which is cached *results* only.
     """
     root = pathlib.Path(cache_dir) if cache_dir else _config.cache_dir
     return _result_store(root).clear()
@@ -266,6 +234,77 @@ class SweepItem:
     cache_key: _t.Optional[str]
 
 
+#: what an executor reports per cold point: (index, value, error) —
+#: ``error`` is ``None`` on success; otherwise ``value`` is the
+#: :class:`PointFailure` and ``error`` what ``on_error="raise"`` raises
+_Outcome = _t.Tuple[int, _t.Any, _t.Optional[BaseException]]
+_Executor = _t.Callable[[_t.List[int]], _t.Iterator[_Outcome]]
+
+
+def _plan(points: _t.List[_t.Any], execute: _Executor, on_error: str,
+          key: _t.Optional[_t.Callable[[_t.Any], str]] = None,
+          store: _t.Any = None,
+          write: bool = True) -> _t.Iterator[SweepItem]:
+    """The sweep planner under every executor.
+
+    Keys every point with ``key`` (``None``: an uncached sweep — no
+    dedupe, no reads, no writes) and dedupes equal keys onto their first
+    point, the owner.  Then reads each owner's key once from ``store``
+    and yields each warm owner followed by its duplicates, and hands
+    only the cold owners to ``execute``.  A computed value is written
+    to ``store`` (best-effort, and only when ``write``: fabric workers
+    store their own) and yielded for the owner, then as a hit for each
+    duplicate.  A :class:`PointFailure` is never cached; it goes to the
+    owner and its duplicates alike, or under ``on_error="raise"`` the
+    executor's exception is raised instead.
+    """
+    if on_error not in ("raise", "return"):
+        raise ValueError(f"on_error must be 'raise' or 'return', got "
+                         f"{on_error!r}")
+    duplicates: _t.Dict[int, _t.List[int]] = {}
+    keys: _t.List[_t.Optional[str]]
+
+    def fan_out(i: int, value: _t.Any, hit: bool,
+                duplicate_hit: bool) -> _t.Iterator[SweepItem]:
+        yield SweepItem(i, points[i], value, hit, keys[i])
+        for j in duplicates.get(i, ()):
+            yield SweepItem(j, points[j], value, duplicate_hit, keys[j])
+
+    if key is None:
+        keys = [None] * len(points)
+        cold = list(range(len(points)))
+    else:
+        # imported here, so an uncached sweep never loads the fabric
+        from ..fabric.store import read_result, write_result
+        keys = [key(p) for p in points]
+        owners: _t.Dict[str, int] = {}
+        for i, k in enumerate(keys):
+            owner = owners.setdefault(k, i)
+            if owner != i:
+                duplicates.setdefault(owner, []).append(i)
+        cold = []
+        for i in owners.values():
+            hit, value = read_result(store, keys[i])
+            if hit:
+                yield from fan_out(i, value, True, True)
+            else:
+                cold.append(i)
+    if not cold:
+        return
+    for i, value, error in execute(cold):
+        if error is None:
+            if write and store is not None:
+                try:
+                    write_result(store, keys[i], value)
+                except Exception:  # noqa: BLE001 — disk-full, locked
+                    pass  # DB, unpicklable: caching never fails a sweep
+            yield from fan_out(i, value, False, True)
+        elif on_error == "raise":
+            raise error
+        else:
+            yield from fan_out(i, value, False, False)
+
+
 def iter_sweep(points: _t.Sequence[_t.Any],
                fn: _t.Callable[[_t.Any], _t.Any],
                workers: _t.Optional[int] = None,
@@ -280,15 +319,16 @@ def iter_sweep(points: _t.Sequence[_t.Any],
     per point *as results become available* instead of one ordered list
     at the end.
 
-    Cache hits yield first (in input order, essentially instantly);
-    pending points follow as the pool completes them, each followed by
-    any same-key duplicates it resolves.  Caching semantics — keys,
-    stored bytes, the in-sweep duplicate dedupe — are byte-for-byte the
-    same as :func:`run_sweep` (which is implemented on this iterator),
-    so streaming consumers and batch consumers share one cache.
+    Cache hits yield first (each followed by its same-key duplicates);
+    the cold points follow as the inline or pool executor completes
+    them, each followed by the duplicates it resolves.  Keys, stored
+    bytes and the in-sweep dedupe are those of :func:`run_sweep` (which
+    is implemented on this iterator), so streaming and batch consumers
+    share one cache.
 
     Parameters are those of :func:`run_sweep` plus the robustness
-    knobs (also accepted by :func:`run_sweep`):
+    knobs (also accepted by :func:`run_sweep`); ``docs/api.md`` tabulates
+    how each executor applies them:
 
     * ``timeout`` — soft per-point wall-clock budget in seconds (pool
       runs only; inline execution cannot be preempted).  A round of
@@ -310,9 +350,6 @@ def iter_sweep(points: _t.Sequence[_t.Any],
     The iterator is lazy: nothing runs until the first ``next()``, and
     abandoning it mid-sweep shuts the worker pool down cleanly.
     """
-    if on_error not in ("raise", "return"):
-        raise ValueError(f"on_error must be 'raise' or 'return', got "
-                         f"{on_error!r}")
     policy = RetryPolicy(retries + 1, backoff)
     if timeout is not None and timeout <= 0:
         raise ValueError("timeout must be positive (or None)")
@@ -320,63 +357,41 @@ def iter_sweep(points: _t.Sequence[_t.Any],
     n_workers = cfg.workers if workers is None else workers
     use_cache = cfg.cache if cache is None else cache
     root = pathlib.Path(cache_dir) if cache_dir else cfg.cache_dir
-
     points = list(points)
-    pending: _t.List[int] = []
-    duplicates: _t.Dict[int, _t.List[int]] = {}
-    keys: _t.List[_t.Optional[str]]
+
+    def execute(cold: _t.List[int]) -> _t.Iterator[_Outcome]:
+        if n_workers > 1 and len(cold) > 1:
+            return _pool_rounds(points, fn, cold, n_workers, timeout,
+                                policy)
+        return _serial_rounds(points, fn, cold, policy)
+
     if use_cache:
-        keys = [_point_key(fn, p, tag) for p in points]
-        # Dedupe pending work by cache key: duplicate points in one cold
-        # sweep compute once and fan the result out, matching the
-        # cross-run dedupe the shared cache namespace already provides.
-        first_with_key: _t.Dict[str, int] = {}
-        for i, key in enumerate(keys):
-            owner = first_with_key.get(key)
-            if owner is not None:
-                duplicates.setdefault(owner, []).append(i)
-                continue
-            hit, value = _cache_load(root, key)
-            if hit:
-                yield SweepItem(i, points[i], value, True, key)
-            else:
-                first_with_key[key] = i
-                pending.append(i)
+        yield from _plan(points, execute, on_error,
+                         key=lambda p: _point_key(fn, p, tag),
+                         store=_result_store(root))
     else:
-        keys = [None] * len(points)
-        pending = list(range(len(points)))
+        yield from _plan(points, execute, on_error)
 
-    def finish(i: int, value: _t.Any) -> _t.Iterator[SweepItem]:
-        if use_cache:
-            _cache_store(root, keys[i], value)
-        yield SweepItem(i, points[i], value, False, keys[i])
-        for dup in duplicates.get(i, ()):
-            yield SweepItem(dup, points[dup], value, True, keys[dup])
 
-    def fail(i: int, failure: PointFailure) -> _t.Iterator[SweepItem]:
-        # failures are never cached: the point recomputes next sweep,
-        # and duplicates share the failure (same key, same outcome)
-        yield SweepItem(i, points[i], failure, False, keys[i])
-        for dup in duplicates.get(i, ()):
-            yield SweepItem(dup, points[dup], failure, False, keys[dup])
-
-    if not pending:
-        return
-    if n_workers > 1 and len(pending) > 1:
-        yield from _pool_rounds(points, fn, pending, n_workers, timeout,
-                                policy, on_error, finish, fail)
-    else:
-        yield from _serial_rounds(points, fn, pending, policy, on_error,
-                                  finish, fail)
+def _fabric_sweep(points: _t.List[_t.Any], fabric: _t.Any,
+                  timeout: _t.Optional[float],
+                  on_error: str) -> _t.Iterator[SweepItem]:
+    """:func:`iter_sweep` through a :class:`repro.fabric.Fabric`: every
+    point's key is recorded with the fabric (so its result service can
+    serve it), warm points come from the fabric's store and cold ones
+    from its workers (:func:`_fabric_rounds`)."""
+    return _plan(points,
+                 lambda cold: _fabric_rounds(points, fabric, cold, timeout),
+                 on_error, key=fabric.record_scenario, store=fabric.store,
+                 write=False)
 
 
 def _serial_rounds(points: _t.List[_t.Any], fn: _t.Callable,
-                   pending: _t.List[int], policy: RetryPolicy,
-                   on_error: str, finish: _t.Callable,
-                   fail: _t.Callable) -> _t.Iterator[SweepItem]:
-    """Inline execution with bounded retry (no pool, no preemption —
-    ``timeout`` does not apply here)."""
-    for i in pending:
+                   cold: _t.List[int],
+                   policy: RetryPolicy) -> _t.Iterator[_Outcome]:
+    """The inline executor: bounded retry in this process (no pool, no
+    preemption — ``timeout`` does not apply here)."""
+    for i in cold:
         for attempt in range(1, policy.attempts + 1):
             try:
                 value = fn(points[i])
@@ -384,31 +399,27 @@ def _serial_rounds(points: _t.List[_t.Any], fn: _t.Callable,
                 if not policy.exhausted(attempt):
                     time.sleep(policy.delay(attempt))
                     continue
-                if on_error == "raise":
-                    raise
-                yield from fail(i, PointFailure(
-                    f"{type(exc).__name__}: {exc}", "error", attempt))
-                break
+                yield i, PointFailure(f"{type(exc).__name__}: {exc}",
+                                      "error", attempt), exc
             else:
-                yield from finish(i, value)
-                break
+                yield i, value, None
+            break
 
 
 def _pool_rounds(points: _t.List[_t.Any], fn: _t.Callable,
-                 pending: _t.List[int], n_workers: int,
-                 timeout: _t.Optional[float], policy: RetryPolicy,
-                 on_error: str, finish: _t.Callable,
-                 fail: _t.Callable) -> _t.Iterator[SweepItem]:
-    """Pool execution in rounds: each round runs the still-pending
+                 cold: _t.List[int], n_workers: int,
+                 timeout: _t.Optional[float],
+                 policy: RetryPolicy) -> _t.Iterator[_Outcome]:
+    """The pool executor, in rounds: each round runs the still-pending
     points on a *fresh* pool, so a worker death (which poisons a
     :class:`~concurrent.futures.ProcessPoolExecutor`) costs one attempt
     for the in-flight points — never the results already completed, and
     never the sweep.  Before round ``r + 1`` the driver waits the
     policy's delay after ``r`` failed attempts."""
-    attempts: _t.Dict[int, int] = {i: 0 for i in pending}
+    attempts: _t.Dict[int, int] = {i: 0 for i in cold}
     failures: _t.Dict[int, PointFailure] = {}
     raisable: _t.Dict[int, BaseException] = {}
-    todo = list(pending)
+    todo = list(cold)
     round_no = 0
     while todo:
         if round_no:
@@ -478,7 +489,7 @@ def _pool_rounds(points: _t.List[_t.Any], fn: _t.Callable,
                         raisable[i] = exc
                         retry.append(i)
                     else:
-                        yield from finish(i, value)
+                        yield i, value, None
                 if broken:
                     # the pool is poisoned: in-flight siblings are lost
                     # with it; charge them one attempt and rebuild —
@@ -505,14 +516,51 @@ def _pool_rounds(points: _t.List[_t.Any], fn: _t.Callable,
                 todo.append(i)
                 continue
             failure = failures[i]
-            if on_error == "raise":
-                exc = raisable.get(i)
-                if exc is not None:
-                    raise exc
-                raise RuntimeError(
-                    f"sweep point {i} failed after {failure.attempts} "
-                    f"attempt(s): {failure.error}")
-            yield from fail(i, failure)
+            yield i, failure, raisable.get(i) or RuntimeError(
+                f"sweep point {i} failed after {failure.attempts} "
+                f"attempt(s): {failure.error}")
+
+
+def _fabric_rounds(points: _t.List[_t.Any], fabric: _t.Any,
+                   cold: _t.List[int],
+                   timeout: _t.Optional[float]) -> _t.Iterator[_Outcome]:
+    """The fabric executor: enqueue the cold points for the workers
+    sharing the fabric's root and poll their results in every
+    ``fabric.poll`` seconds.  The workers store the bytes, so nothing
+    is written here.  Retries are the queue's (``Fabric(max_attempts=,
+    backoff=)``): a point it parks as ``failed`` is a failure.
+    ``timeout`` is one budget for the whole wait; when it runs out,
+    every point still pending fails as a ``"timeout"``."""
+    pending = [(i, fabric.enqueue_scenario(points[i])) for i in cold]
+    deadline = None if timeout is None else time.monotonic() + timeout
+    while pending:
+        still: _t.List[_t.Tuple[int, str]] = []
+        for i, key in pending:
+            value = fabric.load_result(key)
+            if value is not None:
+                yield i, value, None
+                continue
+            item = fabric.queue.get(key)
+            if item is not None and item.state == "failed":
+                failure = PointFailure(
+                    item.error or "point failed in fabric",
+                    RetryPolicy.kind_of(item.error or ""), item.attempts)
+                yield i, failure, RuntimeError(
+                    f"fabric point {key[:12]}… failed after "
+                    f"{item.attempts} attempt(s): {failure.error}")
+                continue
+            still.append((i, key))
+        pending = still
+        if not pending:
+            return
+        if deadline is not None and time.monotonic() >= deadline:
+            failure = PointFailure(
+                f"fabric sweep timed out with {len(pending)} point(s) "
+                f"still pending (are workers running?)", "timeout", 0)
+            for i, _key in pending:
+                yield i, failure, TimeoutError(failure.error)
+            return
+        time.sleep(fabric.poll)
 
 
 def run_sweep(points: _t.Sequence[_t.Any], fn: _t.Callable[[_t.Any], _t.Any],

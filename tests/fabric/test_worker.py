@@ -1,6 +1,12 @@
 """The fabric worker loop: lease → simulate → store → ack."""
 
+import os
+import pathlib
 import pickle
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -99,5 +105,52 @@ def test_worker_cli_validates_flags(tmp_path):
 
 
 def test_default_worker_id_is_host_pid():
-    import os
     assert default_worker_id().endswith(f":{os.getpid()}")
+
+
+def test_terminated_run_keeps_its_lease(tmp_path, monkeypatch):
+    """The SIGTERM exception passes through process_one uncharged: the
+    point stays leased (no failed attempt) until its lease expires."""
+    from repro.fabric import worker
+    from repro.scenarios import run
+
+    def terminated(scenario):
+        raise worker._Terminated
+
+    monkeypatch.setattr(run, "_run_scenario", terminated)
+    with Fabric(tmp_path, backend="sqlite") as fab:
+        key = fab.enqueue_scenario(TINY)
+        with pytest.raises(worker._Terminated):
+            process_one(fab, "w1")
+        item = fab.queue.get(key)
+        assert (item.state, item.attempts) == ("leased", 0)
+
+
+def test_worker_daemon_exits_zero_on_sigterm(tmp_path):
+    """SIGTERM closes the worker's connections: exit 0, and no SQLite
+    WAL content left behind."""
+    src = str(pathlib.Path(repro.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.fabric.worker", "--root",
+         str(tmp_path), "--backend", "sqlite", "--poll", "0.02",
+         "--quiet"], env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE)
+    try:
+        wal = tmp_path / "queue.sqlite3-wal"
+        for _ in range(1500):           # up to 30 s for the first poll
+            if wal.exists():
+                break
+            assert proc.poll() is None, proc.stderr.read()
+            time.sleep(0.02)
+        assert wal.exists(), "the worker never polled its queue"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10.0) == 0, proc.stderr.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert [p.name for p in tmp_path.glob("*-wal")
+            if p.stat().st_size] == []

@@ -7,11 +7,11 @@ and asserts every served ``RunResult`` is JSON-identical to a warm
 serial sweep of the same points.  It then loads the service from
 several client threads at once, mixing ``/result`` and ``/scenario``
 requests while one raw connection sits idle: every body must equal the
-warm serial JSON byte for byte.  Last, with the worker stopped and the
-idle connection still open, the service must exit with return code 0
-within 10 s of SIGTERM and leave no content in any SQLite ``-wal``
-file (it closed every connection it opened).  Exit 0 on parity, 1 on
-any mismatch, timeout or unclean exit.
+warm serial JSON byte for byte.  Last, with the idle connection still
+open, the worker and then the service must each exit with return code
+0 within 10 s of SIGTERM, and no SQLite ``-wal`` file may keep any
+content (each closed every connection it opened).  Exit 0 on parity, 1
+on any mismatch, timeout or unclean exit.
 
 Run locally:  ``PYTHONPATH=src python tools/ci_fabric_smoke.py``
 """
@@ -135,20 +135,21 @@ def main() -> int:
                 stats = client.stats()
                 # the worker goes first, so the service holds the last
                 # SQLite connections and its close checkpoints the WAL
-                worker.terminate()
-                worker.wait(timeout=EXIT_TIMEOUT_S)
-                serve.terminate()
-                try:
-                    code = serve.wait(timeout=EXIT_TIMEOUT_S)
-                except subprocess.TimeoutExpired:
-                    print(f"FAIL: service still running "
-                          f"{EXIT_TIMEOUT_S:.0f} s after SIGTERM",
-                          file=sys.stderr)
+                codes = {}
+                for name, proc in (("worker", worker), ("service", serve)):
+                    proc.terminate()
+                    try:
+                        codes[name] = proc.wait(timeout=EXIT_TIMEOUT_S)
+                    except subprocess.TimeoutExpired:
+                        print(f"FAIL: {name} still running "
+                              f"{EXIT_TIMEOUT_S:.0f} s after SIGTERM",
+                              file=sys.stderr)
+                        return 1
+            for name, code in codes.items():
+                if code != 0:
+                    print(f"FAIL: {name} exited with return code {code} "
+                          f"on SIGTERM, not 0", file=sys.stderr)
                     return 1
-            if code != 0:
-                print(f"FAIL: service exited with return code {code} "
-                      f"on SIGTERM, not 0", file=sys.stderr)
-                return 1
             wal = sorted(str(p) for p in fabric_root.rglob("*-wal")
                          if p.stat().st_size)
             if wal:
