@@ -63,7 +63,7 @@ from __future__ import annotations
 import importlib
 import typing as _t
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 #: lazily-importable subsystem modules
 _SUBSYSTEMS = ("analysis", "api", "apps", "experiments", "fabric",

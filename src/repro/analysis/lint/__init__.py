@@ -33,6 +33,10 @@ so the next one never lands:
     process-wide switch — unless it is on a short allowlist of
     deployment settings (``set_cache_backend``).  ROADMAP's discipline:
     one execution path, no runtime toggles.
+``ORC002``
+    Any ``._trace`` attribute outside ``repro.simulate``: the engine's
+    trace hook is observation only, so model code must not branch on
+    it (a traced run executes exactly the code an untraced one does).
 
 Findings can be suppressed in place with a *justified* comment::
 

@@ -1,4 +1,4 @@
-"""The detlint rule engine: one AST pass per file, five rule families.
+"""The detlint rule engine: one AST pass per file, six rule families.
 
 The engine is deliberately heuristic — it has no type inference — but
 the heuristics are tuned to this codebase: set-valued names are tracked
@@ -58,6 +58,11 @@ ALL_RULES: _t.Dict[str, Rule] = {r.code: r for r in (
          "pass the setting as an argument or scenario field instead; "
          "a fast path that pays stays on unconditionally, one that "
          "does not is deleted (ROADMAP: one execution path)"),
+    Rule("ORC002",
+         "`._trace` attribute access outside repro.simulate",
+         "observe a run through the Simulator(trace=) hook or a HookBus "
+         "subscriber; model code must not branch on whether it is "
+         "traced"),
 )}
 
 
@@ -73,6 +78,14 @@ _ENV001_EXEMPT = ("_envflags.py",)
 #: module-level global setters ORC001 accepts: deployment settings,
 #: not result-affecting toggles
 _ORC001_ALLOWED = ("set_cache_backend",)
+#: the one layer that may touch the engine's trace hook
+_ORC002_OWNER = ("simulate",)
+
+
+def _in_layers(path: str, layers: _t.Sequence[str]) -> bool:
+    """Does the posix ``path`` lie under one of the ``layers``?"""
+    return any(f"/{layer}/" in path or path.startswith(f"{layer}/")
+               for layer in layers)
 
 
 # -------------------------------------------------------------- finding
@@ -195,7 +208,8 @@ class _FileChecker(ast.NodeVisitor):
     attribute bindings are pre-collected) and flags rule violations."""
 
     def __init__(self, path: str, source: str, tree: ast.Module,
-                 *, det002: bool, det003: bool, env001: bool) -> None:
+                 *, det002: bool, det003: bool, env001: bool,
+                 orc002: bool) -> None:
         self.path = path
         self.lines = source.splitlines()
         self.findings: _t.List[Finding] = []
@@ -211,6 +225,7 @@ class _FileChecker(ast.NodeVisitor):
         self.check_det002 = det002
         self.check_det003 = det003
         self.check_env001 = env001
+        self.check_orc002 = orc002
         self._comprehensions_checked = set()
         self._precollect(tree)
 
@@ -562,6 +577,11 @@ class _FileChecker(ast.NodeVisitor):
                 and self._resolves_to(node.value, "os")):
             self._flag("ENV001", node,
                        "os.environ read bypasses repro._envflags")
+        if self.check_orc002 and node.attr == "_trace":
+            self._flag("ORC002", node,
+                       f"`{self._describe(node)}` touches the engine's "
+                       f"trace hook outside repro.simulate: a traced "
+                       f"run must execute the code an untraced one does")
         self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
@@ -607,18 +627,17 @@ def lint_source(source: str, path: str, *,
     """Lint one file's source text; returns unsuppressed findings.
 
     ``path`` scopes the path-sensitive rules (DET002 layers, DET003
-    exemptions, the ``_envflags`` ENV001 carve-out) and labels the
-    findings; it need not exist on disk.
+    exemptions, the ``_envflags`` ENV001 carve-out, the ``simulate``
+    ORC002 owner) and labels the findings; it need not exist on disk.
     """
     norm = path.replace("\\", "/")
     tree = ast.parse(source, filename=path)
     checker = _FileChecker(
         norm, source, tree,
-        det002=any(f"/{layer}/" in norm or norm.startswith(f"{layer}/")
-                   for layer in _DET002_LAYERS),
-        det003=not any(f"/{frag}/" in norm or norm.startswith(f"{frag}/")
-                       for frag in _DET003_EXEMPT),
-        env001=not norm.endswith(_ENV001_EXEMPT))
+        det002=_in_layers(norm, _DET002_LAYERS),
+        det003=not _in_layers(norm, _DET003_EXEMPT),
+        env001=not norm.endswith(_ENV001_EXEMPT),
+        orc002=not _in_layers(norm, _ORC002_OWNER))
     checker.visit(tree)
     wanted = set(rules) if rules is not None else set(ALL_RULES)
     suppressions = _parse_suppressions(source)

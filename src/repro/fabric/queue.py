@@ -257,10 +257,21 @@ class WorkQueue:
 
     # ------------------------------------------------------------- read
     def get(self, key: str) -> _t.Optional[QueueItem]:
-        row = self._conn().execute(
-            "SELECT key, state, attempts, worker_lost, error "
-            "FROM queue WHERE key = ?", (key,)).fetchone()
-        return None if row is None else QueueItem(*row)
+        return self.get_many([key]).get(key)
+
+    def get_many(self, keys: _t.Sequence[str]) -> _t.Dict[str, QueueItem]:
+        """The rows of ``keys`` that are queued, by key: one query per
+        500 keys (under SQLite's bound-parameter limit)."""
+        conn = self._conn()
+        items: _t.Dict[str, QueueItem] = {}
+        for lo in range(0, len(keys), 500):
+            chunk = keys[lo:lo + 500]
+            rows = conn.execute(
+                "SELECT key, state, attempts, worker_lost, error "
+                f"FROM queue WHERE key IN ({','.join('?' * len(chunk))})",
+                chunk)
+            items.update((row[0], QueueItem(*row)) for row in rows)
+        return items
 
     def scenario_for(self, key: str) -> _t.Optional[str]:
         """The recorded scenario JSON for ``key`` (``None`` when the

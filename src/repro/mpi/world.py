@@ -57,36 +57,30 @@ class ProcContext:
         #: intra-parallelization runtime, attached by the job launchers
         #: in :mod:`repro.intra.api` (None for raw MPI jobs)
         self.intra: _t.Optional[_t.Any] = None
+        #: labels of the timeouts :meth:`compute`/:meth:`memcpy` charge,
+        #: as a trace hook sees them
+        self._compute_label = f"compute:{name}"
+        self._memcpy_label = f"memcpy:{name}"
 
     # ------------------------------------------------------------ compute
     def compute(self, flops: float = 0.0, bytes_moved: float = 0.0,
                 active_cores: _t.Optional[int] = None) -> Event:
-        """Charge roofline time for a kernel; ``yield`` the result.
-
-        The descriptive label is only attached when a trace hook is
-        installed — labelling is for trace assertions, and the f-string
-        plus unpooled allocation are measurable on the compute-heavy
-        hot path.
-        """
+        """Charge roofline time for a kernel; ``yield`` the result."""
         dt = self.world.cluster.machine.kernel_time(flops, bytes_moved,
                                                     active_cores)
         self.compute_time += dt
-        if self.sim._trace is None:
-            return self.sim.sleep(dt)
-        return self.sim.timeout(dt, label=f"compute:{self.name}")
+        return self.sim.timeout(dt, label=self._compute_label)
 
     def memcpy(self, nbytes: float) -> Event:
         """Charge an in-memory copy (extra-copy of `inout` variables,
         application of received updates)."""
         dt = self.world.cluster.machine.copy_time(nbytes)
         self.compute_time += dt
-        if self.sim._trace is None:
-            return self.sim.sleep(dt)
-        return self.sim.timeout(dt, label=f"memcpy:{self.name}")
+        return self.sim.timeout(dt, label=self._memcpy_label)
 
     def sleep(self, duration: float) -> Event:
         """Idle for ``duration`` virtual seconds."""
-        return self.sim.sleep(duration)
+        return self.sim.timeout(duration)
 
     # ------------------------------------------------------------ timing
     def region(self, name: str) -> "_Region":

@@ -530,18 +530,25 @@ def _fabric_rounds(points: _t.List[_t.Any], fabric: _t.Any,
     is written here.  Retries are the queue's (``Fabric(max_attempts=,
     backoff=)``): a point it parks as ``failed`` is a failure.
     ``timeout`` is one budget for the whole wait; when it runs out,
-    every point still pending fails as a ``"timeout"``."""
+    every point still pending fails as a ``"timeout"``.
+
+    Each poll reads the queue states of all pending keys at once and
+    the store only for the ``done`` ones: a worker stores its result
+    before it acks the key, so a key that is not ``done`` has nothing
+    to read yet.  A ``done`` key whose read misses stays pending."""
     pending = [(i, fabric.enqueue_scenario(points[i])) for i in cold]
     deadline = None if timeout is None else time.monotonic() + timeout
     while pending:
+        items = fabric.queue.get_many([key for _i, key in pending])
         still: _t.List[_t.Tuple[int, str]] = []
         for i, key in pending:
-            value = fabric.load_result(key)
-            if value is not None:
-                yield i, value, None
-                continue
-            item = fabric.queue.get(key)
-            if item is not None and item.state == "failed":
+            item = items.get(key)
+            if item is not None and item.state == "done":
+                value = fabric.load_result(key)
+                if value is not None:
+                    yield i, value, None
+                    continue
+            elif item is not None and item.state == "failed":
                 failure = PointFailure(
                     item.error or "point failed in fabric",
                     RetryPolicy.kind_of(item.error or ""), item.attempts)

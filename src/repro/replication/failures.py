@@ -38,8 +38,6 @@ class HookBus:
     def __init__(self) -> None:
         self._handlers: _t.DefaultDict[str, _t.List[_t.Callable]] = \
             collections.defaultdict(list)
-        self.events_seen: _t.List[_t.Tuple[str, dict]] = []
-        self.record = False
 
     def subscribe(self, name: str, handler: _t.Callable[..., None]) -> None:
         """Register ``handler(**kwargs)`` for events named ``name``."""
@@ -48,8 +46,6 @@ class HookBus:
     def emit(self, name: str, **kwargs: _t.Any) -> None:
         """Publish an event; all handlers run synchronously, in
         subscription order."""
-        if self.record:
-            self.events_seen.append((name, kwargs))
         for handler in list(self._handlers[name]):
             handler(**kwargs)
 

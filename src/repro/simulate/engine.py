@@ -16,16 +16,11 @@ re-running a failure-injection scenario replays the identical interleaving
 
 Performance
 -----------
-:meth:`Simulator.run` inlines the pop→process→callback chain (the body of
-:meth:`Event._process`) and :meth:`Process._resume` reads event slots
-directly instead of going through properties.  Plain timeouts — the
-dominant event by two orders of magnitude — are recycled through a small
-free list: after the run loop processes a :class:`Timeout` that nothing
-else references (checked via the CPython refcount), the object is reset
-and reused by the next :meth:`Simulator.sleep` call, making the
-"process sleeps for its compute time" hot path allocation-free.
-:meth:`Simulator.step` drains every event scheduled for the head
-timestamp in one pass, in scheduling order.
+:meth:`Simulator.run` is the one event loop: it pops, processes and
+runs callbacks inline, and :meth:`Process._resume` reads event slots
+directly instead of going through properties.  A trace hook is one call
+per processed event inside that same loop, so a traced run executes
+exactly the code an untraced one does.
 
 Example
 -------
@@ -51,22 +46,6 @@ from .events import (_PENDING, _PROCESSED, _TRIGGERED, AllOf, AnyOf, Event,
                      Timeout)
 
 
-def _never_unreferenced(obj: _t.Any) -> int:
-    """Refcount stand-in for interpreters without one: no processed
-    timeout ever counts as unreferenced, so the free list stays empty."""
-    return 0
-
-
-_getrefcount: _t.Callable[[_t.Any], int]
-try:  # CPython: enables the timeout free list in the run loop
-    from sys import getrefcount as _getrefcount
-except ImportError:  # pragma: no cover - non-refcounting interpreters
-    _getrefcount = _never_unreferenced
-
-#: cap on the timeout free list (a handful per live process is plenty)
-_POOL_MAX = 256
-
-
 def get_engine_backend() -> str:
     """Name of the engine executing every :class:`Simulator`, as
     recorded in run provenance: always ``"python"`` — the heap engine
@@ -89,8 +68,10 @@ class Simulator:
     ----------
     trace:
         Optional callable ``trace(time, event)`` invoked for every
-        processed event; used by tests that assert on protocol traces
-        (e.g. the Figure 1 message/compute pattern).
+        processed event, after its callbacks ran; used by tests that
+        assert on protocol traces (e.g. the Figure 1 message/compute
+        pattern).  It only observes: the run is the same with or
+        without it.
     """
 
     def __init__(self, trace: _t.Optional[_t.Callable[[float, Event], None]] = None
@@ -99,8 +80,6 @@ class Simulator:
         self._heap: _t.List[_t.Tuple[float, int, Event]] = []
         self._seq = 0
         self._trace = trace
-        #: free list of recycled Timeout objects (see :meth:`sleep`)
-        self._timeout_pool: _t.List[Timeout] = []
         #: live (not yet terminated) processes, used for deadlock detection
         self._active_processes: _t.Set["Process"] = set()
 
@@ -113,32 +92,6 @@ class Simulator:
                 label: str = "") -> Timeout:
         """An event that fires ``delay`` time units from now."""
         return Timeout(self, delay, value=value, label=label)
-
-    def sleep(self, delay: float) -> Timeout:
-        """A plain timeout (no value, no label) from the free list.
-
-        Semantically identical to ``timeout(delay)``; the returned object
-        may be a recycled :class:`Timeout`.  This is the zero-allocation
-        fast path for the dominant "process sleeps for its compute/idle
-        time" case.
-        """
-        pool = self._timeout_pool
-        if not pool:
-            return Timeout(self, delay)   # validates and enqueues itself
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        t = pool.pop()
-        t._waiter = None
-        t.callbacks = None
-        t._value = None
-        t._exc = None
-        t._state = _TRIGGERED
-        t.defused = False
-        t.label = ""
-        t.delay = delay
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, t))
-        return t
 
     def all_of(self, events: _t.Sequence[Event], label: str = "") -> AllOf:
         """Fires when all ``events`` fired (cf. ``MPI_Waitall``)."""
@@ -163,29 +116,6 @@ class Simulator:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._heap[0][0] if self._heap else _INF
 
-    def step(self) -> None:
-        """Process every event scheduled for the next timestamp.
-
-        One batch = all events sharing the head timestamp (including
-        zero-delay events they trigger at that same time), processed in
-        scheduling order — exactly the order a one-event-at-a-time loop
-        would have used, but with a single heap inspection, clock write
-        and ``until`` boundary per batch instead of per event.
-        """
-        heap = self._heap
-        trace = self._trace
-        time, _seq, event = heapq.heappop(heap)
-        self.now = time
-        while True:
-            event._process()
-            if trace is not None:
-                trace(time, event)
-            if event._exc is not None and not event.defused:
-                raise UnhandledFailure(event._exc)
-            if not heap or heap[0][0] != time:
-                return
-            _same, _seq, event = heapq.heappop(heap)
-
     def run(self, until: _t.Optional[float] = None,
             detect_deadlock: bool = False) -> None:
         """Run until the queue drains or ``until`` is reached.
@@ -197,50 +127,24 @@ class Simulator:
         if until is not None and until < self.now:
             raise SimulationError(f"until={until} is in the past (now={self.now})")
         heap = self._heap
-        pool = self._timeout_pool
         heappop = heapq.heappop
         trace = self._trace
-        getrefcount = _getrefcount
-        pool_append = pool.append
-        timeout_cls = Timeout
         while heap:
             if until is not None and heap[0][0] > until:
                 self.now = until
                 return
             time, _seq, event = heappop(heap)
             self.now = time
-            # -- inline Event._process (keep the two copies in sync;
-            #    tests/simulate/test_determinism.py pins the resulting
-            #    event order on a golden trace) ------------------------
             event._state = _PROCESSED
             waiter = event._waiter
             if waiter is not None:
                 event._waiter = None
                 waiter(event)
-                if event.callbacks is None:
-                    # single-waiter success: the dominant shape.
-                    # Recycle unreferenced plain timeouts — refcount
-                    # 2 means only the local variable and the
-                    # getrefcount argument hold the object, so no
-                    # model code can observe the reuse.
-                    if (event._exc is None and trace is None
-                            and type(event) is timeout_cls
-                            and len(pool) < _POOL_MAX
-                            and getrefcount(event) == 2):
-                        pool_append(event)
-                        continue
-                else:
-                    cbs = event.callbacks
-                    event.callbacks = None
-                    for cb in cbs:
-                        cb(event)
-            else:
-                cbs = event.callbacks
-                if cbs is not None:
-                    event.callbacks = None
-                    for cb in cbs:
-                        cb(event)
-            # ----------------------------------------------------------
+            cbs = event.callbacks
+            if cbs is not None:
+                event.callbacks = None
+                for cb in cbs:
+                    cb(event)
             if trace is not None:
                 trace(time, event)
             if event._exc is not None and not event.defused:

@@ -17,7 +17,7 @@ Performance notes
 The kernel processes tens of thousands of events per simulated second of
 an experiment sweep, and the overwhelmingly common shape is *one waiter
 per event* (a process yielding a timeout).  Two layout decisions keep
-that path allocation-free:
+that path cheap:
 
 * the first registered callback lives in the dedicated ``_waiter`` slot;
   the ``callbacks`` list is lazily allocated only when a second waiter
@@ -25,6 +25,9 @@ that path allocation-free:
 * state is a plain int slot (``_state``) read directly by the kernel;
   the ``triggered``/``processed``/``ok`` properties remain the public
   API but are off the hot path.
+
+Processing an event (waiter, then callbacks in registration order) is
+done by :meth:`~repro.simulate.engine.Simulator.run` alone.
 
 Register and deregister callbacks through :meth:`Event.add_callback` /
 :meth:`Event.remove_callback` — mutating ``callbacks`` directly would
@@ -169,22 +172,6 @@ class Event:
         self._exc = exc
         self.sim._enqueue(self, delay)
         return self
-
-    # -- kernel hooks ------------------------------------------------------
-    def _process(self) -> None:
-        """Run callbacks.  Called by the simulator when the event's time
-        arrives; user code never calls this.  (``Simulator.run`` inlines
-        this body; keep the two copies in sync.)"""
-        self._state = _PROCESSED
-        waiter = self._waiter
-        if waiter is not None:
-            self._waiter = None
-            waiter(self)
-        cbs = self.callbacks
-        if cbs is not None:
-            self.callbacks = None
-            for cb in cbs:
-                cb(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {_PENDING: "pending", _TRIGGERED: "triggered",

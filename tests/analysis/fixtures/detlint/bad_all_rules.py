@@ -1,5 +1,5 @@
 """Known-bad fixture: at least one finding per rule family (linted
-under a synthetic ``simulate/`` path so the layer-scoped rules apply).
+under a synthetic ``mpi/`` path so the layer-scoped rules apply).
 """
 
 import os
@@ -27,3 +27,10 @@ def consume(items):
     t0 = time.perf_counter()           # DET003: wall clock
     debug = os.environ.get("DEBUG")    # ENV001: raw environ read
     return ordered, first, ranked, token, draw, t0, debug
+
+
+def charge(ctx, dt):
+    # ORC002: model code forking on whether the run is traced
+    if ctx.sim._trace is None:
+        return ctx.sim.timeout(dt)
+    return ctx.sim.timeout(dt, label="compute")

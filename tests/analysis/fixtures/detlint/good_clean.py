@@ -3,6 +3,8 @@ determinism discipline — detlint must report zero findings here."""
 
 import random
 
+from repro.simulate import Simulator
+
 
 def aggregate(groups):
     seen = set()
@@ -30,3 +32,10 @@ def set_cache_backend(name):
     global BACKEND
     prev, BACKEND = BACKEND, name
     return prev
+
+
+def traced_simulator(trace, label):
+    """Observation goes through the constructor's hook; model code
+    builds the same labelled timeout either way."""
+    sim = Simulator(trace=trace)
+    return sim, sim.timeout(1.0, label=label)

@@ -22,7 +22,7 @@ def rules_of(findings):
 
 def lint_fixture(name, relpath=None):
     return lint_file(str(FIXTURES / name),
-                     relpath=relpath or f"simulate/{name}")
+                     relpath=relpath or f"mpi/{name}")
 
 
 # ----------------------------------------------------------- fixtures
@@ -124,6 +124,16 @@ def test_orc001_flags_global_setters_off_the_allowlist():
     assert lint_source(nested, "m.py") == []
     local = "def set_flag(v):\n    flag = v\n    return flag\n"
     assert lint_source(local, "m.py") == []
+
+
+def test_orc002_trace_hook_belongs_to_simulate():
+    src = "def f(sim):\n    return sim._trace is None\n"
+    (finding,) = lint_source(src, "mpi/world.py")
+    assert finding.rule == "ORC002"
+    assert "sim._trace" in finding.message
+    assert lint_source(src, "src/repro/simulate/engine.py") == []
+    assert lint_source("def f(sim):\n    return sim.trace\n",
+                       "mpi/world.py") == []
 
 
 def test_det001_sorted_wrapping_is_the_documented_remedy():
@@ -265,8 +275,8 @@ def test_src_repro_is_lint_clean_against_the_checked_in_baseline():
 
 
 def test_fixture_paths_note():
-    """Fixtures are linted under synthetic relpaths (`simulate/...`)
-    so the layer-gated rules apply; keep that invariant explicit."""
+    """Fixtures are linted under synthetic relpaths (`mpi/...`) so the
+    layer-gated rules apply; keep that invariant explicit."""
     with pytest.raises(AssertionError):
         assert rules_of(lint_fixture("bad_all_rules.py",
                                      relpath="unlayered.py")) \

@@ -106,6 +106,33 @@ def test_timeout_without_workers(tmp_path):
         assert rs[0].error.startswith("timeout:")
 
 
+def test_waiting_sweep_reads_each_key_once(tmp_path, monkeypatch):
+    """Polling reads queue states, not the store: with no workers
+    nothing is ever ``done``, so each key's only store read is the
+    planner's warm check."""
+    names = ["example:hpccg:intra", "example:hpccg:native",
+             "example:hpccg:sdr"]
+    with Fabric(tmp_path, backend="sqlite", poll=0.01) as fab:
+        reads, polls = [], []
+        get, get_many = fab.store.get, fab.queue.get_many
+
+        def counted_get(key):
+            reads.append(key)
+            return get(key)
+
+        def counted_get_many(keys):
+            polls.append(len(keys))
+            return get_many(keys)
+
+        monkeypatch.setattr(fab.store, "get", counted_get)
+        monkeypatch.setattr(fab.queue, "get_many", counted_get_many)
+        rs = repro.sweep(names, fabric=fab, timeout=0.2,
+                         on_error="return")
+    assert [r.ok for r in rs] == [False] * 3
+    assert len(polls) > 2 and set(polls) == {3}
+    assert len(reads) == 3 and len(set(reads)) == 3
+
+
 def test_fabric_validates_arguments(tmp_path):
     with pytest.raises(ValueError, match="poll"):
         Fabric(tmp_path, poll=0.0)

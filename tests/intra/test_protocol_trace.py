@@ -70,9 +70,13 @@ def test_classic_replication_duplicates_w(make_world):
 def test_intra_section_hooks_fire_in_order(make_world):
     world = make_world()
     job = launch_intra_job(world, two_task_program, 2)
-    job.manager.hooks.record = True
+    seen = []
+    for name in ("section_enter", "task_executed", "update_injected",
+                 "section_exit"):
+        job.manager.hooks.subscribe(
+            name, lambda name=name, **kw: seen.append((name, kw)))
     world.run()
-    names = [n for n, kw in job.manager.hooks.events_seen
+    names = [n for n, kw in seen
              if kw.get("logical_rank") == 0 and kw.get("replica_id") == 0]
     assert names[0] == "section_enter"
     assert "task_executed" in names

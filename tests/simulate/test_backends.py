@@ -1,11 +1,10 @@
-"""Engine semantics cases: sleeps, kills, same-time order, conditions,
-resources, ``step()``/``until`` boundaries, and sleeps that are held,
-abandoned or re-yielded around the timeout free list.
+"""Engine semantics cases: timeouts, kills, same-time order,
+conditions, resources, ``until`` boundaries, and timeouts that are held,
+abandoned or re-yielded.
 
-Each case is parametrized by the engine name
+Each case runs on the ``sim`` fixture, whose id is the engine name
 :func:`~repro.simulate.get_engine_backend` reports — the name the
-benchmark records as provenance — and checks that it names the engine a
-plain ``Simulator()`` runs on.
+benchmark records as provenance.
 """
 
 from __future__ import annotations
@@ -16,22 +15,24 @@ from repro.simulate import (DeadlockError, ProcessKilled, Resource,
                             SimulationError, Simulator, Store,
                             get_engine_backend)
 
-BACKENDS = [get_engine_backend()]
 
-
-def _sim(backend):
-    assert backend == get_engine_backend() == "python"
+@pytest.fixture(params=[get_engine_backend()])
+def sim():
+    """A plain ``Simulator()``; the param only names the engine in the
+    test id."""
     return Simulator()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sleep_chain_clock(backend):
-    sim = _sim(backend)
+def test_engine_backend_is_the_heap_engine():
+    assert get_engine_backend() == "python"
+
+
+def test_sleep_chain_clock(sim):
     log = []
 
     def body(sim):
         for _ in range(5):
-            yield sim.sleep(1.5)
+            yield sim.timeout(1.5)
             log.append(sim.now)
 
     sim.process(body(sim))
@@ -40,13 +41,11 @@ def test_sleep_chain_clock(backend):
     assert sim.now == 7.5
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_same_time_events_fire_in_schedule_order(backend):
-    sim = _sim(backend)
+def test_same_time_events_fire_in_schedule_order(sim):
     order = []
 
     def body(sim, tag, delay):
-        yield sim.sleep(delay)
+        yield sim.timeout(delay)
         order.append(tag)
 
     for tag, delay in (("a", 1.0), ("b", 0.5), ("c", 1.0), ("d", 0.5)):
@@ -56,12 +55,10 @@ def test_same_time_events_fire_in_schedule_order(backend):
     assert order == ["b", "d", "a", "c"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_until_stops_clock_between_events(backend):
-    sim = _sim(backend)
+def test_until_stops_clock_between_events(sim):
 
     def body(sim):
-        yield sim.sleep(10.0)
+        yield sim.timeout(10.0)
 
     sim.process(body(sim))
     sim.run(until=3.0)
@@ -73,36 +70,11 @@ def test_until_stops_clock_between_events(backend):
         sim.run(until=5.0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_step_drains_one_timestamp(backend):
-    sim = _sim(backend)
-    order = []
-
-    def spawner(sim):
-        yield sim.sleep(1.0)
-        order.append("parent")
-        # zero-delay follow-on at the same timestamp must fire in the
-        # same step() call
-        ev = sim.event("follow")
-        ev.succeed("v")
-        got = yield ev
-        order.append(("follow", got, sim.now))
-
-    sim.process(spawner(sim))
-    sim.step()   # start events at t=0
-    sim.step()   # t=1 batch including the zero-delay follow-on
-    assert order == ["parent", ("follow", "v", 1.0)]
-    with pytest.raises(IndexError):
-        sim.step()
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_kill_sleeping_process(backend):
-    sim = _sim(backend)
+def test_kill_sleeping_process(sim):
     woke = []
 
     def body(sim):
-        yield sim.sleep(5.0)
+        yield sim.timeout(5.0)
         woke.append(sim.now)
 
     p = sim.process(body(sim))
@@ -114,13 +86,11 @@ def test_kill_sleeping_process(backend):
     assert sim.now == 5.0  # the orphaned wake still advances the clock
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_kill_propagates_to_joiner(backend):
-    sim = _sim(backend)
+def test_kill_propagates_to_joiner(sim):
     caught = []
 
     def victim(sim):
-        yield sim.sleep(5.0)
+        yield sim.timeout(5.0)
 
     def joiner(sim, p):
         try:
@@ -136,12 +106,10 @@ def test_kill_propagates_to_joiner(backend):
     assert len(caught) == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_process_failure_propagates(backend):
-    sim = _sim(backend)
+def test_process_failure_propagates(sim):
 
     def boom(sim):
-        yield sim.sleep(1.0)
+        yield sim.timeout(1.0)
         raise ValueError("boom")
 
     sim.process(boom(sim))
@@ -149,19 +117,17 @@ def test_process_failure_propagates(backend):
         sim.run()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_exception_keeps_same_time_peers_fireable(backend):
+def test_exception_keeps_same_time_peers_fireable(sim):
     """An exception mid-batch must leave the unfired same-time events
     queued, so a second run() fires them."""
-    sim = _sim(backend)
     ran = []
 
     def boom(sim):
-        yield sim.sleep(1.0)
+        yield sim.timeout(1.0)
         raise ValueError("boom")
 
     def peer(sim, tag):
-        yield sim.sleep(1.0)
+        yield sim.timeout(1.0)
         ran.append(tag)
 
     sim.process(boom(sim))
@@ -174,9 +140,7 @@ def test_exception_keeps_same_time_peers_fireable(backend):
     assert sim.now == 1.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_resources_and_store(backend):
-    sim = _sim(backend)
+def test_resources_and_store(sim):
     log = []
 
     res = Resource(sim, capacity=1, name="r")
@@ -204,9 +168,7 @@ def test_resources_and_store(backend):
                    ("got", "token", 2.0)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_conditions(backend):
-    sim = _sim(backend)
+def test_conditions(sim):
     got = []
 
     def body(sim):
@@ -222,22 +184,19 @@ def test_conditions(backend):
     assert got == [(1.0, (0, "one")), (2.0, ["two"])]
 
 
-# -- sleeps around the timeout free list -------------------------------
+# -- timeouts held, abandoned or re-yielded ----------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sleep_token_held_and_yielded_later(backend):
-    """Holding the token across other work must not confuse the
-    timeout free list: the held timeout is referenced, so it is never
-    recycled under the holder."""
-    sim = _sim(backend)
+def test_sleep_token_held_and_yielded_later(sim):
+    """A timeout held by its process stays the same processed event
+    after it fired."""
     log = []
 
     def body(sim):
-        t = sim.sleep(1.0)
+        t = sim.timeout(1.0)
         yield t
         log.append(sim.now)
         assert t.processed
-        yield sim.sleep(1.0)
+        yield sim.timeout(1.0)
         log.append(sim.now)
 
     sim.process(body(sim))
@@ -245,16 +204,14 @@ def test_sleep_token_held_and_yielded_later(backend):
     assert log == [1.0, 2.0]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sleep_then_yield_other_event_no_spurious_wake(backend):
-    """A process that takes a sleep token but yields a *different*
-    event must not be woken by the abandoned timeout."""
-    sim = _sim(backend)
+def test_sleep_then_yield_other_event_no_spurious_wake(sim):
+    """A process that takes a timeout but yields a *different* event
+    must not be woken by the abandoned timeout."""
     woke = []
 
     def body(sim, ev):
-        yield sim.sleep(1.0)          # primes the free list
-        sim.sleep(2.0)                # taken, abandoned (fires at 3.0)
+        yield sim.timeout(1.0)
+        sim.timeout(2.0)              # taken, abandoned (fires at 3.0)
         got = yield ev                # real wait: fires at 5.0
         woke.append((sim.now, got))
 
@@ -262,7 +219,7 @@ def test_sleep_then_yield_other_event_no_spurious_wake(backend):
     sim.process(body(sim, ev))
 
     def trigger(sim, ev):
-        yield sim.sleep(5.0)
+        yield sim.timeout(5.0)
         ev.succeed("go")
 
     sim.process(trigger(sim, ev))
@@ -270,17 +227,15 @@ def test_sleep_then_yield_other_event_no_spurious_wake(backend):
     assert woke == [(5.0, "go")]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sleep_abandoned_then_reyielded(backend):
-    """An abandoned-then-reyielded token still works: it binds its
+def test_sleep_abandoned_then_reyielded(sim):
+    """An abandoned-then-reyielded timeout still works: it binds its
     waiter when finally yielded (before it fires)."""
-    sim = _sim(backend)
     woke = []
 
     def body(sim):
-        yield sim.sleep(1.0)
-        t = sim.sleep(4.0)            # fires at 5.0
-        yield sim.sleep(1.0)          # meanwhile, a nested wait
+        yield sim.timeout(1.0)
+        t = sim.timeout(4.0)          # fires at 5.0
+        yield sim.timeout(1.0)        # meanwhile, a nested wait
         yield t
         woke.append(sim.now)
 
@@ -289,15 +244,13 @@ def test_sleep_abandoned_then_reyielded(backend):
     assert woke == [5.0]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_final_sleep_then_return(backend):
-    """sleep() taken, process returns without yielding: the timeout
+def test_final_sleep_then_return(sim):
+    """A timeout taken, process returns without yielding it: it
     fires as a waiterless no-op that still advances the clock."""
-    sim = _sim(backend)
 
     def body(sim):
-        yield sim.sleep(1.0)
-        sim.sleep(3.0)
+        yield sim.timeout(1.0)
+        sim.timeout(3.0)
         return "done"
 
     p = sim.process(body(sim))
@@ -306,14 +259,12 @@ def test_final_sleep_then_return(backend):
     assert sim.now == 4.0             # the orphan still drains
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_zero_delay_sleep_chain(backend):
-    sim = _sim(backend)
+def test_zero_delay_sleep_chain(sim):
     ticks = []
 
     def body(sim):
         for i in range(4):
-            yield sim.sleep(0.0)
+            yield sim.timeout(0.0)
             ticks.append((i, sim.now))
 
     sim.process(body(sim))
@@ -326,10 +277,10 @@ def test_zero_delay_sleep_chain(backend):
 # and deadlock detection names only the blocked process)
 
 def _orphan_queue():
-    sim = _sim(get_engine_backend())
+    sim = Simulator()
 
     def sleeper(sim):
-        yield sim.sleep(5.0)
+        yield sim.timeout(5.0)
 
     def stuck(sim, ev):
         yield ev
@@ -362,7 +313,7 @@ def test_deadlock_reporting_agrees_on_orphan_only_queue():
 def test_peek_sees_unconsolidated_rows():
     """Timeouts scheduled but not yet run are part of the queue and
     must be visible to peek()."""
-    sim = _sim(get_engine_backend())
+    sim = Simulator()
     sim.timeout(3.0)
     assert sim.peek() == 3.0
     assert Simulator().peek() == float("inf")

@@ -1,25 +1,27 @@
-"""Determinism regression for the engine fast path.
+"""Determinism regression for the engine loop.
 
 The simulation kernel promises that a run is a pure function of its
 inputs: events scheduled for the same virtual time process in scheduling
 order, so re-running a failure-injection scenario replays the identical
-interleaving.  The engine optimizations (lazy callbacks, single-waiter
-fast path, inlined run loop, pooled sleep timeouts) must not perturb
-that ordering in any way.
+interleaving.  Every change to ``Simulator.run`` and the event
+primitives (lazy callbacks, the single-waiter slot, the inlined loop)
+must leave that ordering exactly as the seed engine produced it.
 
-The scenario here is the sharpest determinism probe the repo has: an
-HPCCG run under intra-parallelization where one replica of logical rank
-0 is crash-injected mid-solve, forcing failure detection, update-receive
-failures and local re-execution.  Every processed event is recorded as
-``(time, event type, label)`` and the full stream is fingerprinted.
+The scenario: HPCCG under intra-parallelization on two logical ranks,
+with replica 1 of logical rank 0 crash-injected at ``CRASH_AT``.  That
+time falls after the solve ends (~0.15 ms of virtual time), so the
+trace covers a failure-free solve followed by the crash and its
+failure detection; ``test_trace_parity.py`` crashes a replica
+mid-solve.  Every processed event is recorded as ``(time, event type,
+label)`` and the full stream is fingerprinted.
 
 ``golden_trace_failure.json`` was generated against the *seed* engine
-(pre-optimization, commit bb8776c) by running this file as a script::
+(commit bb8776c) by running this file as a script::
 
     PYTHONPATH=src python tests/simulate/test_determinism.py --regen
 
-so the test asserts bit-identical event interleaving before and after
-the engine fast path.
+so the test asserts bit-identical event interleaving between the seed
+engine and today's.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from repro.replication import FailureInjector
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_trace_failure.json"
 
-#: crash replica 1 of logical rank 0 at this virtual time (mid-solve)
+#: crash replica 1 of logical rank 0 at this virtual time (after the
+#: solve; the golden trace was recorded with it)
 CRASH_AT = 0.002
 
 
@@ -70,8 +73,8 @@ def fingerprint(trace):
 
 
 def test_trace_matches_seed_golden():
-    """The optimized engine replays the seed engine's exact event
-    interleaving (count, per-event type/label/time, final clock)."""
+    """The engine replays the seed engine's exact event interleaving
+    (count, per-event type/label/time, final clock)."""
     golden = json.loads(GOLDEN.read_text())
     trace, values = run_scenario()
     assert len(trace) == golden["n_events"]
